@@ -80,7 +80,7 @@ def parse_args(argv) -> RunConfig:
         p.add_argument("--output", choices=("json", "csv", "plain"), default="json")
         p.add_argument("--log-base", choices=("e", "2", "10"), default="e")
         p.add_argument("--tol-fw", type=float, default=None, help="duality-gap target")
-        p.add_argument("--max-iter", type=int, default=5000)
+        p.add_argument("--max-iter", type=int, default=5000, help="Newton steps per solve")
 
     p_bound = sub.add_parser("bound", help="evaluate the bound at a given gamma")
     add_common(p_bound)

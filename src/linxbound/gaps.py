@@ -30,9 +30,7 @@ import scipy.linalg as sla
 from .diagonal import optimal_gamma_diagonal, solve_diagonal_linx
 from .instance import Mask, SymMatrix, validate
 from .linx import DEFAULT_OPTIONS, SolverOptions, solve_linx
-from .scaling import optimize_gamma
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+from .scaling import golden_section, optimize_gamma
 
 DEFAULT_N_CAP = 64   # inner solves are O(n^3) per iteration
 
@@ -105,19 +103,7 @@ def scaled_gap_floor(c1: float, c2: float) -> tuple[float, float]:
         g = math.exp(psi)
         return _floor_term(c1, g) + _floor_term(c2, g)
 
-    lo, hi = -30.0, 30.0
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc, fd = total(c), total(d)
-    while hi - lo > 1e-12:
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = total(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = total(d)
+    lo, hi = golden_section(total, -30.0, 30.0, 1e-12)
     psi_hat = 0.5 * (lo + hi)
     return math.exp(psi_hat), total(psi_hat) / 8.0
 

@@ -10,14 +10,19 @@ where o is the Hadamard product.  f is concave; at a binary x with
 support S the value collapses to logdet C[S, S], so the relaxation is
 exact on vertices (the basis of the binary scaling certificate).
 
-The maximizer is found by conditional-gradient ascent from the uniform
-start x0 = (s/n) e.  The linear subproblem over P(n, s) is a trivial
-top-s selection.  Plain steps toward the best vertex zigzag badly when
-the optimum sits inside a face, so by default each iteration moves along
-the pairwise direction (best vertex minus worst vertex consistent with
-the current iterate), with a golden-section line search on the segment.
-Convergence is certified by the standard linearization gap
-max_v grad(x) . (v - x), which upper-bounds the suboptimality of x.
+The maximizer is found by a log-barrier method.  F is affine in x, so
+-2 f is self-concordant, and so is the barrier function
+
+    psi_t(x) = -2 t f(x) - sum log x_i - sum log(1 - x_i),   t >= 1,
+
+on the hyperplane e.x = s.  Damped Newton steps x <- x + dx / (1 + lam),
+with lam the Newton decrement, stay inside the box without any line
+search; once an iterate is centred (lam < 1/4) the weight t grows by a
+fixed factor.  Convergence is certified independently of the method by
+the standard linearization gap max_v grad(x) . (v - x) over the vertices
+v of P(n, s), which upper-bounds the suboptimality of x.  A centred
+iterate close to the best vertex tries that vertex, so binary maximizers
+come out exactly binary.
 
 Everything here is a pure function of its inputs; solves on shared
 instances may run concurrently.
@@ -35,24 +40,26 @@ from .instance import Instance, Mask, _freeze
 
 NEG_INF = float("-inf")
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+_CENTRED = 0.25      # Newton decrement below which an iterate counts as centred
+_T_GROWTH = 8.0      # barrier weight factor per centred iterate
+_SNAP_RADIUS = 0.1   # max-norm distance at which the best vertex is tried
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for the conditional-gradient solver.
+    """Knobs for the barrier solver.
 
-    tol_fw is the absolute duality-gap target; None means
-    1e-8 * max(1, |f(x0)|), fixed at the first iterate.
+    tol_fw is the absolute target for the linearization (Frank-Wolfe)
+    duality gap; None means 1e-8 * max(1, |f(x0)|), fixed at the uniform
+    start x0.  max_iter caps the number of Newton steps.  tol_feas bounds
+    the rounding drift of e.x away from s, and tol_binary is the default
+    distance to a vertex that certify_gamma_optimal accepts as binary.
     """
 
     tol_fw: float | None = None
     max_iter: int = 5000
     tol_feas: float = 1e-10
     tol_binary: float = 1e-6
-    ls_tol: float = 1e-11      # golden-section interval, relative to the step cap
-    pairwise: bool = True      # pairwise (swap) directions; plain steps as fallback
 
 
 DEFAULT_OPTIONS = SolverOptions()
@@ -92,11 +99,34 @@ def lmo_capped_simplex(g, s: int) -> np.ndarray:
     return v
 
 
+def _cholesky(mat):
+    """Lower Cholesky factor, or None when mat is not positive definite."""
+    try:
+        return sla.cholesky(mat, lower=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _logdet(chol) -> float:
+    return 2.0 * float(np.sum(np.log(np.diagonal(chol))))
+
+
+def _cho_inverse(chol):
+    """Inverse of L L^T from its lower Cholesky factor L (upper part zero)."""
+    linv, _ = sla.lapack.dtrtri(chol, lower=1)
+    return linv.T @ linv
+
+
 class _LinxProblem:
     """Evaluation machinery for one (instance, mask, gamma) triple.
 
-    One factorization per iterate serves both the objective and the
-    gradient.  When the masked matrix is diagonal, everything reduces to
+    One factorization per iterate serves the objective, the gradient and
+    the Hessian.  With A = C o M, W = F^-1, P = A W and K = A W A,
+
+        grad = 0.5 * (gamma diag(K) - diag(W)),
+        hess = -0.5 * (gamma^2 K o K - gamma (P o P + P^T o P^T) + W o W).
+
+    When the masked matrix is diagonal, everything reduces to
     per-coordinate factors (gamma * a_ii^2 - 1) x_i + 1 and the O(n^3)
     factorizations disappear.
     """
@@ -112,22 +142,14 @@ class _LinxProblem:
         self.diagonal = not np.any(A - np.diag(np.diagonal(A)))
         self.coef = self.gamma * np.diagonal(A) ** 2 - 1.0  # diagonal path only
 
-    # diagonal path
-
     def _factors(self, x):
         fac = self.coef * x + 1.0
         return fac if np.all(fac > 0.0) else None
 
-    # general path
-
-    def _cholesky(self, x):
+    def _chol(self, x):
         F = self.gamma * ((self.A * x) @ self.A)
-        F[np.diag_indices(self.n)] += 1.0 - x
-        F = 0.5 * (F + F.T)
-        try:
-            return sla.cholesky(F, lower=True, check_finite=False)
-        except np.linalg.LinAlgError:
-            return None
+        F.flat[:: self.n + 1] += 1.0 - x
+        return _cholesky(F)
 
     def value(self, x) -> float:
         if self.diagonal:
@@ -135,88 +157,31 @@ class _LinxProblem:
             if fac is None:
                 return NEG_INF
             return 0.5 * (float(np.sum(np.log(fac))) - self.shift)
-        chol = self._cholesky(x)
+        chol = self._chol(x)
         if chol is None:
             return NEG_INF
-        return 0.5 * (2.0 * float(np.sum(np.log(np.diagonal(chol)))) - self.shift)
+        return 0.5 * (_logdet(chol) - self.shift)
 
-    def value_and_grad(self, x):
+    def derivatives(self, x):
+        """(value, gradient, Hessian) of f at x; (-inf, None, None) where
+        F(x) is not positive definite."""
         if self.diagonal:
             fac = self._factors(x)
             if fac is None:
-                return NEG_INF, None
+                return NEG_INF, None, None
+            r = self.coef / fac
             val = 0.5 * (float(np.sum(np.log(fac))) - self.shift)
-            return val, 0.5 * self.coef / fac
-        chol = self._cholesky(x)
+            return val, 0.5 * r, np.diag(-0.5 * r * r)
+        chol = self._chol(x)
         if chol is None:
-            return NEG_INF, None
-        ldet = 2.0 * float(np.sum(np.log(np.diagonal(chol))))
-        Finv = sla.cho_solve((chol, True), np.eye(self.n), check_finite=False)
-        afa = self.gamma * np.einsum("ij,ji->i", self.A, Finv @ self.A)
-        grad = 0.5 * (afa - np.diagonal(Finv))
-        return 0.5 * (ldet - self.shift), grad
-
-    def _segment(self, x, d):
-        F0 = self.gamma * ((self.A * x) @ self.A)
-        F0[np.diag_indices(self.n)] += 1.0 - x
-        F0 = 0.5 * (F0 + F0.T)
-        G = self.gamma * ((self.A * d) @ self.A)
-        G[np.diag_indices(self.n)] -= d
-        G = 0.5 * (G + G.T)
-        return F0, G
-
-    def directional(self, x, d):
-        """Objective restricted to t -> x + t d, with the x-parts prebuilt."""
-        if self.diagonal:
-            base = self.coef * x + 1.0
-            slope = self.coef * d
-            shift = self.shift
-
-            def phi_diag(t: float) -> float:
-                fac = base + t * slope
-                if not np.all(fac > 0.0):
-                    return NEG_INF
-                return 0.5 * (float(np.sum(np.log(fac))) - shift)
-
-            return phi_diag
-
-        F0, G = self._segment(x, d)
-        shift = self.shift
-
-        def phi(t: float) -> float:
-            try:
-                chol = sla.cholesky(F0 + t * G, lower=True, check_finite=False)
-            except np.linalg.LinAlgError:
-                return NEG_INF
-            return 0.5 * (2.0 * float(np.sum(np.log(np.diagonal(chol)))) - shift)
-
-        return phi
-
-    def directional_deriv(self, x, d):
-        """Derivative of the restriction t -> x + t d; None outside the
-        positive-definite region."""
-        if self.diagonal:
-            base = self.coef * x + 1.0
-            slope = self.coef * d
-
-            def dphi_diag(t: float):
-                fac = base + t * slope
-                if not np.all(fac > 0.0):
-                    return None
-                return 0.5 * float(np.sum(slope / fac))
-
-            return dphi_diag
-
-        F0, G = self._segment(x, d)
-
-        def dphi(t: float):
-            try:
-                chol = sla.cholesky(F0 + t * G, lower=True, check_finite=False)
-            except np.linalg.LinAlgError:
-                return None
-            return 0.5 * float(np.trace(sla.cho_solve((chol, True), G, check_finite=False)))
-
-        return dphi
+            return NEG_INF, None, None
+        W = _cho_inverse(chol)
+        P = self.A @ W
+        K = P @ self.A
+        gam = self.gamma
+        grad = 0.5 * (gam * np.diagonal(K) - np.diagonal(W))
+        hess = -0.5 * (gam * gam * (K * K) - gam * (P * P + P.T * P.T) + W * W)
+        return 0.5 * (_logdet(chol) - self.shift), grad, hess
 
 
 def linx_objective(inst: Instance, mask: Mask, gamma: float, x) -> float:
@@ -241,179 +206,62 @@ def linx_gradient(inst: Instance, mask: Mask, gamma: float, x) -> np.ndarray:
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     x = np.asarray(x, dtype=float)
-    _, grad = _LinxProblem(inst, mask, gamma, round(float(x.sum()))).value_and_grad(x)
+    _, grad, _ = _LinxProblem(inst, mask, gamma, round(float(x.sum()))).derivatives(x)
     if grad is None:
         raise np.linalg.LinAlgError("F(x) is not positive definite")
     return grad
 
 
-def _golden_max(phi, hi: float, tol: float):
-    """Golden-section search for a maximizer of a concave phi on [0, hi].
-
-    -inf values are fine (they lose every comparison); ties shrink the
-    bracket from the right, so flat -inf tails are walked away from.
-    """
-    a, b = 0.0, hi
-    h = hi
-    if h <= tol:
-        return hi, phi(hi)
-    steps = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
-    c = a + _INV_PHI2 * h
-    d = a + _INV_PHI * h
-    fc = phi(c)
-    fd = phi(d)
-    for _ in range(steps):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            h *= _INV_PHI
-            c = a + _INV_PHI2 * h
-            fc = phi(c)
-        else:
-            a, c, fc = c, d, fd
-            h *= _INV_PHI
-            d = a + _INV_PHI * h
-            fd = phi(d)
-    return (c, fc) if fc >= fd else (d, fd)
-
-
-def _line_search(phi, cap: float, rel_tol: float):
-    """Maximize a concave phi over [0, cap], favoring the exact endpoint.
-
-    If phi is still rising at the cap (checked against a point just
-    inside), the cap is returned exactly; landing on vertices without
-    rounding error is what lets binary maximizers come out binary.
-    """
-    f_cap = phi(cap)
-    if np.isfinite(f_cap):
-        inside = cap * (1.0 - 1e-7)
-        if f_cap >= phi(inside):
-            return cap, f_cap
-    t, ft = _golden_max(phi, cap, rel_tol * cap)
-    if f_cap >= ft:
-        return cap, f_cap
-    return t, ft
-
-
-def _away_vertex(g, x, s: int, eps: float = 1e-12):
-    """Worst vertex of the minimal face of P(n, s) containing x.
-
-    Coordinates at 1 are forced in, coordinates at 0 are forced out, and
-    the remaining slots are filled with the smallest gradient entries
-    (ties to the lowest index).  Returns None when x is too close to a
-    vertex for the construction to make sense.
-    """
-    ones = x >= 1.0 - eps
-    zeros = x <= eps
-    frac = np.flatnonzero(~ones & ~zeros)
-    need = s - int(np.count_nonzero(ones))
-    if need < 0 or len(frac) < need:
-        return None
-    v = np.zeros(x.shape[0])
-    v[ones] = 1.0
-    if need > 0:
-        order = frac[np.argsort(g[frac], kind="stable")]
-        v[order[:need]] = 1.0
-    return v
-
-
-def _directions(x, g, v_fw, s: int, opts: SolverOptions):
-    """Candidate (direction, step cap) pairs, best first."""
-    if opts.pairwise:
-        v_aw = _away_vertex(g, x, s)
-        if v_aw is not None:
-            d = v_fw - v_aw
-            dec = d < 0.0
-            inc = d > 0.0
-            if dec.any() and inc.any():
-                cap = min(float(x[dec].min()), float((1.0 - x[inc]).min()))
-                if cap > 0.0:
-                    yield d, cap
-    d = v_fw - x
-    if np.any(d != 0.0):
-        yield d, 1.0
-
-
-_POLISH_CAP = 120  # derivative-bisection steps allowed after value search saturates
-
-
-def _derivative_step(problem, x, d, cap: float) -> float:
-    """Locate the 1-D maximizer along d by bisecting the sign of the
-    directional derivative (monotone for concave objectives)."""
-    dphi = problem.directional_deriv(x, d)
-    at_cap = dphi(cap)
-    if at_cap is not None and at_cap >= 0.0:
-        return cap
-    lo, hi = 0.0, cap
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        val = dphi(mid)
-        if val is None or val < 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return lo
+def _newton_step(x, g, hess, t: float):
+    """Newton step of psi_t restricted to e.dx = 0, and its decrement."""
+    u = 1.0 - x
+    grad = -2.0 * t * g - 1.0 / x + 1.0 / u
+    H = -2.0 * t * hess
+    H.flat[:: x.shape[0] + 1] += 1.0 / (x * x) + 1.0 / (u * u)
+    # H dx + nu e = -grad with e.dx = 0, from one solve with two right-hand sides
+    a, b = np.linalg.solve(H, np.column_stack((grad, np.ones_like(grad)))).T
+    dx = (a.sum() / b.sum()) * b - a
+    return dx, math.sqrt(max(-float(grad @ dx), 0.0))
 
 
 def _maximize_capped_simplex(problem, n: int, s: int, opts: SolverOptions):
-    """Conditional-gradient ascent core shared by the bound solvers.
+    """Barrier-method core shared by the bound solvers.
 
-    Runs value-comparison (golden-section) line searches until they stop
-    producing measurable improvement, then switches to derivative
-    bisection, which localizes the 1-D maximizer far below the float
-    resolution of objective comparisons and lets the gap fall the rest
-    of the way to the tolerance.
+    problem.derivatives(x) returns the value, gradient and Hessian of the
+    concave objective.  Stops when the linearization gap meets the
+    tolerance, when max_iter Newton steps are spent, or when rounding
+    pushes a step out of the open box.
     """
     x = np.full(n, s / n)
-    f, g = problem.value_and_grad(x)
+    f, g, hess = problem.derivatives(x)
     if not np.isfinite(f):
         raise ArithmeticError("objective is undefined at the uniform start point")
     tol = opts.tol_fw if opts.tol_fw is not None else 1e-8 * max(1.0, abs(f))
-    converged = False
-    gap = math.inf
+    t = 1.0
     iters = 0
-    polish = False
-    polish_left = _POLISH_CAP
     while iters < opts.max_iter:
         iters += 1
-        v_fw = lmo_capped_simplex(g, s)
-        gap = float(g @ (v_fw - x))
-        if gap <= tol:
-            converged = True
+        v = lmo_capped_simplex(g, s)
+        if float(g @ (v - x)) <= tol:
             break
-        moved = False
-        if not polish:
-            for d, cap in _directions(x, g, v_fw, s, opts):
-                t, ft = _line_search(problem.directional(x, d), cap, opts.ls_tol)
-                if t > 0.0 and np.isfinite(ft) and ft > f:
-                    x = np.clip(x + t * d, 0.0, 1.0)
-                    f, g = problem.value_and_grad(x)
-                    moved = True
+        dx, lam = _newton_step(x, g, hess, t)
+        if lam < _CENTRED:
+            if float(np.max(np.abs(x - v))) <= _SNAP_RADIUS:
+                fv, gv, _ = problem.derivatives(v)
+                if fv >= f and float(gv @ (lmo_capped_simplex(gv, s) - v)) <= tol:
+                    x, f, g = v, fv, gv
                     break
-            if not moved:
-                polish = True
-        if polish and not moved:
-            if polish_left <= 0:
-                break
-            polish_left -= 1
-            for d, cap in _directions(x, g, v_fw, s, opts):
-                if float(g @ d) <= 0.0:
-                    continue
-                t = _derivative_step(problem, x, d, cap)
-                if t <= 0.0:
-                    continue
-                xn = np.clip(x + t * d, 0.0, 1.0)
-                if not np.any(xn != x):
-                    continue
-                fn, gn = problem.value_and_grad(xn)
-                # exact 1-D ascent cannot lose value beyond rounding
-                if gn is not None and fn >= f - 1e-12 * max(1.0, abs(f)):
-                    x, f, g = xn, fn, gn
-                    moved = True
-                    break
-        if not moved:
-            break  # no float-representable progress along any direction
-    # the loop can exit on the iteration budget right after a move; make the
-    # reported gap describe the iterate actually returned
+            t *= _T_GROWTH
+            dx, lam = _newton_step(x, g, hess, t)
+        xn = x + dx / (1.0 + lam)
+        w = xn * (1.0 - xn)
+        xn += (s - float(xn.sum())) / float(w.sum()) * w
+        if not (xn.min() > 0.0 and xn.max() < 1.0):
+            break  # rounding left the open box; x is the last good iterate
+        fn, gn, hn = problem.derivatives(xn)
+        if not np.isfinite(fn):
+            break
+        x, f, g, hess = xn, fn, gn, hn
     gap = float(g @ (lmo_capped_simplex(g, s) - x))
     converged = gap <= tol
     drift = s - float(x.sum())
@@ -436,7 +284,7 @@ def solve_linx(
     """Maximize the relaxation objective over P(n, s).
 
     mask=None means the all-ones mask (no masking).  On hitting the
-    iteration cap the best iterate is returned with converged=False; its
+    iteration cap the last iterate is returned with converged=False; its
     duality_gap still upper-bounds how far the value can be below the
     true bound.
     """

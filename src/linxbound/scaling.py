@@ -11,9 +11,13 @@ the subset size s compares with rank(C):
     s > rank   the bound sinks to -inf as gamma grows, so no optimal
                gamma exists (every subset of size s is singular).
 
-The search works in psi space.  Any probe whose maximizer comes out
-binary ends the search immediately: exactness at binary points makes
-that gamma globally optimal.
+The search works in psi space: it expands a bracket until the estimated
+slope changes sign, then narrows it by golden section (golden_section, the
+package's one 1-D minimizer, also used by gaps.scaled_gap_floor).  Any
+probe whose maximizer comes out binary ends the search immediately:
+exactness at binary points makes that gamma globally optimal.  The limit
+program supplies its own value, gradient and Hessian and is maximized by
+the same barrier engine as the linx bound.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg as sla
 
 from .diagonal import optimal_gamma_2x2, optimal_gamma_diagonal
 from .instance import Instance, Mask, SymMatrix, _freeze, validate
@@ -32,6 +35,9 @@ from .linx import (
     BoundResult,
     NEG_INF,
     SolverOptions,
+    _cho_inverse,
+    _cholesky,
+    _logdet,
     _maximize_capped_simplex,
     certify_gamma_optimal,
     solve_linx,
@@ -39,9 +45,31 @@ from .linx import (
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-PSI_TOL = 1e-6          # golden-section interval width on psi
+PSI_TOL = 1e-6          # golden-section bracket width on psi
 PSI_DERIV_STEP = 1e-4   # central-difference step for bracket expansion
 PSI_LIMIT = 60.0        # expansion guard; far beyond any sane scaling
+
+
+def golden_section(fun, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Golden-section search for a minimizer of a convex fun on [lo, hi].
+
+    Shrinks the bracket until it is no wider than tol and returns it;
+    every probe goes through fun, so callers that record their probes can
+    pick the best one.
+    """
+    c = hi - _INV_PHI * (hi - lo)
+    d = lo + _INV_PHI * (hi - lo)
+    fc, fd = fun(c), fun(d)
+    while hi - lo > tol:
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_PHI * (hi - lo)
+            fc = fun(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_PHI * (hi - lo)
+            fd = fun(d)
+    return lo, hi
 
 
 class RegimeTag(Enum):
@@ -95,87 +123,30 @@ class _LimitProblem:
         0.5 * ( logdet(Lam_s P_s(x) Lam_s) + logdet(I - P_rest(x)) )
 
     over P(n, s), where P_s is the leading s x s block of P and P_rest
-    the trailing block.  Shares the conditional-gradient engine.
+    the trailing block.  With Rs = Qs P_s^-1 Qs^T and R2 = Q2 (I -
+    P_rest)^-1 Q2^T, the gradient is 0.5 * (diag(Rs) - diag(R2)) and the
+    Hessian -0.5 * (Rs o Rs + R2 o R2); the program runs on the same
+    barrier engine as the linx bound.
     """
 
     def __init__(self, inst: Instance, s: int):
         self.Qs = inst.eigvecs[:, :s]
         self.Q2 = inst.eigvecs[:, s:]
         self.const = 2.0 * float(np.sum(np.log(inst.eigvals[:s])))
-        self.s = s
 
-    @staticmethod
-    def _chol(mat):
-        try:
-            return sla.cholesky(mat, lower=True, check_finite=False)
-        except np.linalg.LinAlgError:
-            return None
-
-    def _blocks(self, x):
+    def derivatives(self, x):
         ps = self.Qs.T @ (self.Qs * x[:, None])
         m2 = -(self.Q2.T @ (self.Q2 * x[:, None]))
-        m2[np.diag_indices(m2.shape[0])] += 1.0
-        return 0.5 * (ps + ps.T), 0.5 * (m2 + m2.T)
-
-    @staticmethod
-    def _ldet(chol):
-        return 2.0 * float(np.sum(np.log(np.diagonal(chol))))
-
-    def value(self, x) -> float:
-        ps, m2 = self._blocks(x)
-        lp = self._chol(ps)
-        lm = self._chol(m2)
+        m2.flat[:: m2.shape[0] + 1] += 1.0
+        lp = _cholesky(ps)
+        lm = _cholesky(m2)
         if lp is None or lm is None:
-            return NEG_INF
-        return 0.5 * (self.const + self._ldet(lp) + self._ldet(lm))
-
-    def value_and_grad(self, x):
-        ps, m2 = self._blocks(x)
-        lp = self._chol(ps)
-        lm = self._chol(m2)
-        if lp is None or lm is None:
-            return NEG_INF, None
-        val = 0.5 * (self.const + self._ldet(lp) + self._ldet(lm))
-        ps_inv = sla.cho_solve((lp, True), np.eye(ps.shape[0]), check_finite=False)
-        m2_inv = sla.cho_solve((lm, True), np.eye(m2.shape[0]), check_finite=False)
-        grad = 0.5 * (
-            np.einsum("ij,jk,ik->i", self.Qs, ps_inv, self.Qs)
-            - np.einsum("ij,jk,ik->i", self.Q2, m2_inv, self.Q2)
-        )
-        return val, grad
-
-    def _increments(self, d):
-        dps = self.Qs.T @ (self.Qs * d[:, None])
-        dm2 = self.Q2.T @ (self.Q2 * d[:, None])
-        return 0.5 * (dps + dps.T), 0.5 * (dm2 + dm2.T)
-
-    def directional(self, x, d):
-        ps0, m20 = self._blocks(x)
-        dps, dm2 = self._increments(d)
-
-        def phi(t: float) -> float:
-            lp = self._chol(ps0 + t * dps)
-            lm = self._chol(m20 - t * dm2)
-            if lp is None or lm is None:
-                return NEG_INF
-            return 0.5 * (self.const + self._ldet(lp) + self._ldet(lm))
-
-        return phi
-
-    def directional_deriv(self, x, d):
-        ps0, m20 = self._blocks(x)
-        dps, dm2 = self._increments(d)
-
-        def dphi(t: float):
-            lp = self._chol(ps0 + t * dps)
-            lm = self._chol(m20 - t * dm2)
-            if lp is None or lm is None:
-                return None
-            tr_p = float(np.trace(sla.cho_solve((lp, True), dps, check_finite=False)))
-            tr_m = float(np.trace(sla.cho_solve((lm, True), dm2, check_finite=False)))
-            return 0.5 * (tr_p - tr_m)
-
-        return dphi
+            return NEG_INF, None, None
+        rs = self.Qs @ _cho_inverse(lp) @ self.Qs.T
+        r2 = self.Q2 @ _cho_inverse(lm) @ self.Q2.T
+        val = 0.5 * (self.const + _logdet(lp) + _logdet(lm))
+        grad = 0.5 * (np.diagonal(rs) - np.diagonal(r2))
+        return val, grad, -0.5 * (rs * rs + r2 * r2)
 
 
 def limit_linx_at_infinity(
@@ -300,22 +271,7 @@ def optimize_gamma(
             if hi > PSI_LIMIT:
                 raise RuntimeError(f"bracket expansion ran away (psi={hi:.3g})")
 
-        # golden-section minimization of the convex psi -> bound map
-        h = hi - lo
-        c = hi - _INV_PHI * h
-        d = lo + _INV_PHI * h
-        fc = probe(c, True)
-        fd = probe(d, True)
-        while h > PSI_TOL:
-            h *= _INV_PHI
-            if fc <= fd:
-                hi, d, fd = d, c, fc
-                c = hi - _INV_PHI * (hi - lo)
-                fc = probe(c, True)
-            else:
-                lo, c, fc = c, d, fd
-                d = lo + _INV_PHI * (hi - lo)
-                fd = probe(d, True)
+        golden_section(lambda psi: probe(psi, True), lo, hi, PSI_TOL)
     except _Certified as hit:
         return GammaSearchResult(
             gamma_hat=math.exp(hit.psi),

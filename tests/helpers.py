@@ -40,3 +40,23 @@ def random_pd_2x2(rng):
     b = rng.normal(size=(2, 2))
     c = b @ b.T + 0.05 * np.eye(2)
     return float(c[0, 0]), float(c[1, 1]), float(c[0, 1])
+
+
+def hessian_error(problem, x, h=1e-6):
+    """Relative error of problem.derivatives' Hessian at x against central
+    differences of its own gradient, scaled as in acceptance criterion 03."""
+    _, _, hess = problem.derivatives(x)
+    fd = np.empty_like(hess)
+    for i in range(x.shape[0]):
+        xp, xm = x.copy(), x.copy()
+        xp[i] += h
+        xm[i] -= h
+        fd[:, i] = (problem.derivatives(xp)[1] - problem.derivatives(xm)[1]) / (2.0 * h)
+    return float(np.max(np.abs(hess - fd)) / max(1.0, np.max(np.abs(fd))))
+
+
+def interior_point(rng, n, s):
+    """Uniform point plus a small perturbation, strictly inside the box."""
+    z = rng.uniform(-1.0, 1.0, size=n)
+    z -= z.mean()
+    return np.clip(s / n + 0.2 * min(s / n, 1 - s / n) * z, 0.01, 0.99)

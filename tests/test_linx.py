@@ -20,7 +20,15 @@ from linxbound import (
     validate,
 )
 
-from helpers import correlation_matrix, gram_matrix
+from linxbound.linx import _LinxProblem
+
+from helpers import (
+    correlation_matrix,
+    diagonal_entries,
+    gram_matrix,
+    hessian_error,
+    interior_point,
+)
 
 HALF = math.sqrt(2.0) / 2.0
 
@@ -150,6 +158,39 @@ class TestGradient:
             linx_gradient(inst, Mask.ones(2), 1.0, np.array([2.0, -1.0]))
 
 
+class TestHessian:
+    """The barrier engine's Newton steps use these Hessians; a wrong one
+    shows otherwise only as slow or failed convergence."""
+
+    def test_general_path_matches_gradient_differences(self):
+        rng = np.random.default_rng(12)
+        worst = 0.0
+        for trial in range(30):
+            n = int(rng.integers(3, 9))
+            s = int(rng.integers(1, n))
+            inst = _instance(gram_matrix(rng, n), s)
+            if trial % 3 == 0:
+                mask = Mask.ones(n)
+            elif trial % 3 == 1:
+                mask = Mask.identity(n)
+            else:
+                mask = Mask.from_matrix(SymMatrix.from_array(correlation_matrix(rng, n)))
+            problem = _LinxProblem(inst, mask, math.exp(rng.uniform(-1.5, 1.5)), s)
+            problem.diagonal = False  # the dense formulas, also for C o I
+            worst = max(worst, hessian_error(problem, interior_point(rng, n, s)))
+        assert worst <= 1e-5
+
+    def test_diagonal_path_matches_gradient_differences(self):
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            n = int(rng.integers(2, 9))
+            s = int(rng.integers(1, n))
+            inst = _instance(np.diag(diagonal_entries(rng, n)), s)
+            problem = _LinxProblem(inst, Mask.ones(n), math.exp(rng.uniform(-1.5, 1.5)), s)
+            assert problem.diagonal
+            assert hessian_error(problem, interior_point(rng, n, s)) <= 1e-5
+
+
 class TestLmo:
     def test_top_s_selection(self):
         np.testing.assert_array_equal(
@@ -246,6 +287,16 @@ class TestSolve:
         inst = _instance(np.eye(3), 1)
         assert solve_linx(inst, 1).mask_id == "J"
         assert solve_linx(inst, 1, Mask.identity(3)).mask_id == "I"
+
+
+class TestLargeInstances:
+    def test_dense_n128_converges_at_default_options(self):
+        # the pairwise Frank-Wolfe engine stalled here just above its
+        # gap tolerance after about 1,160 iterations
+        inst = _instance(gram_matrix(np.random.default_rng(0), 128), 64)
+        res = solve_linx(inst, 64)
+        assert res.converged
+        assert is_feasible(res.x_hat, 64)
 
 
 class TestCertificate:

@@ -17,7 +17,9 @@ from linxbound import (
     validate,
 )
 
-from helpers import gram_matrix
+from linxbound.scaling import _LimitProblem
+
+from helpers import gram_matrix, hessian_error, interior_point
 
 
 class TestClassifyRegime:
@@ -69,6 +71,14 @@ class TestOptimizeGamma:
         assert search.bound_value == float("-inf")
         vals = [v for _, v in search.psi_trace]
         assert vals == sorted(vals, reverse=True)  # sinking along the probe grid
+
+    def test_unbounded_regime_probes_converge(self):
+        # s > rank: the psi = 14 diagnostic probe used to stall unconverged
+        inst = validate(SymMatrix.from_array(gram_matrix(np.random.default_rng(3), 12, 5)), 7)
+        search = optimize_gamma(inst, 7)
+        assert search.regime.tag is RegimeTag.UNBOUNDED_BELOW
+        assert search.bound_value == float("-inf")
+        assert search.converged
 
     def test_interior_search_on_identity(self):
         # flat spectrum: the optimum sits at gamma = 1 with value 0
@@ -146,6 +156,15 @@ class TestLimitProgram:
         assert all(vals[i] >= vals[i + 1] - 1e-9 for i in range(len(vals) - 1))
         lim = limit_linx_at_infinity(inst, 2, tight)
         assert abs(vals[-1] - lim.value) <= 1e-3
+
+    def test_hessian_matches_gradient_differences(self):
+        rng = np.random.default_rng(35)
+        for _ in range(10):
+            n = int(rng.integers(3, 9))
+            r = int(rng.integers(1, n))
+            inst = validate(SymMatrix.from_array(gram_matrix(rng, n, r)), r)
+            problem = _LimitProblem(inst, r)
+            assert hessian_error(problem, interior_point(rng, n, r)) <= 1e-5
 
     def test_rejects_s_not_equal_rank(self):
         inst = validate(SymMatrix.identity(3), 1)
