@@ -281,10 +281,9 @@ def _dispatch(config: RunConfig) -> tuple[int, dict]:
             "value": search.bound_value,
             "regime": search.regime.tag.value,
         }
-        if config.command == "bound" and math.isfinite(search.gamma_hat):
-            res = solve_linx(inst, config.s, mask, search.gamma_hat, opts)
-            report["x_hat"] = list(res.x_hat)
-            report["duality_gap"] = res.duality_gap
+        if config.command == "bound" and search.best is not None:
+            report["x_hat"] = list(search.best.x_hat)
+            report["duality_gap"] = search.best.duality_gap
         return status, report
 
     res = solve_linx(inst, config.s, mask, _gamma_value(config.gamma), opts)

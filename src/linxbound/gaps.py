@@ -30,7 +30,7 @@ import scipy.linalg as sla
 from .diagonal import optimal_gamma_diagonal, solve_diagonal_linx
 from .instance import Mask, SymMatrix, validate
 from .linx import DEFAULT_OPTIONS, SolverOptions, solve_linx
-from .scaling import golden_section, optimize_gamma
+from .scaling import optimize_gamma
 
 DEFAULT_N_CAP = 64   # inner solves are O(n^3) per iteration
 
@@ -84,28 +84,28 @@ def build_scaledgap_instance(n: int, c1: float = 0.0, c2: float = 1.0) -> SymMat
     return SymMatrix.from_array(sla.block_diag(*blocks))
 
 
-def _floor_term(c: float, gamma: float) -> float:
-    w = 1.0 - c * c
-    return math.log(0.25 * w * w * gamma + 0.5 * (1.0 + c * c) + 0.25 / gamma)
-
-
 def scaled_gap_floor(c1: float, c2: float) -> tuple[float, float]:
     """Per-row floor constant for the scaled experiment.
 
-    Minimizes the two-block uniform-point expression over gamma (convex
-    in log gamma) and returns (gamma_hat, b) where the guaranteed gap is
-    b * n.  For (0, 1): gamma_hat = (1 + sqrt(3))/2 and b ~ 0.024036.
+    Minimizes the two-block uniform-point expression, the sum over both
+    block kinds of log(a g + b + 1/(4g)) with a = (1 - c^2)^2 / 4 and
+    b = (1 + c^2) / 2, over g = gamma > 0.  The minimizer is the positive
+    root of the stationarity quartic
+
+        2 a1 a2 g^4 + (a1 b2 + a2 b1) g^3 - (b1 + b2) g / 4 - 1/8 = 0,
+
+    the only one, as its coefficients change sign once.  Returns
+    (gamma_hat, b) where the guaranteed gap is b * n.  For (0, 1):
+    gamma_hat = (1 + sqrt(3))/2 and b ~ 0.024036.
     """
     if c1 * c1 == c2 * c2:
         raise ValueError("need c1^2 != c2^2")
-
-    def total(psi: float) -> float:
-        g = math.exp(psi)
-        return _floor_term(c1, g) + _floor_term(c2, g)
-
-    lo, hi = golden_section(total, -30.0, 30.0, 1e-12)
-    psi_hat = 0.5 * (lo + hi)
-    return math.exp(psi_hat), total(psi_hat) / 8.0
+    a1, a2 = (0.25 * (1.0 - c * c) ** 2 for c in (c1, c2))
+    b1, b2 = (0.5 * (1.0 + c * c) for c in (c1, c2))
+    roots = np.roots([2.0 * a1 * a2, a1 * b2 + a2 * b1, 0.0, -0.25 * (b1 + b2), -0.125])
+    g = float(roots[(roots.imag == 0.0) & (roots.real > 0.0)].real[0])
+    total = math.log(a1 * g + b1 + 0.25 / g) + math.log(a2 * g + b2 + 0.25 / g)
+    return g, total / 8.0
 
 
 def run_gap_experiment(

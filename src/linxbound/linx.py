@@ -54,12 +54,19 @@ class SolverOptions:
     start x0.  max_iter caps the number of Newton steps.  tol_feas bounds
     the rounding drift of e.x away from s, and tol_binary is the default
     distance to a vertex that certify_gamma_optimal accepts as binary.
+    A tol_fw not finite and positive or a max_iter below 1 is rejected.
     """
 
     tol_fw: float | None = None
     max_iter: int = 5000
     tol_feas: float = 1e-10
     tol_binary: float = 1e-6
+
+    def __post_init__(self):
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if self.tol_fw is not None and not (math.isfinite(self.tol_fw) and self.tol_fw > 0.0):
+            raise ValueError(f"tol_fw must be a finite positive number, got {self.tol_fw}")
 
 
 DEFAULT_OPTIONS = SolverOptions()
@@ -138,6 +145,7 @@ class _LinxProblem:
         self.A = A
         self.n = inst.n
         self.gamma = float(gamma)
+        self.s = s
         self.shift = s * math.log(self.gamma)
         self.diagonal = not np.any(A - np.diag(np.diagonal(A)))
         self.coef = self.gamma * np.diagonal(A) ** 2 - 1.0  # diagonal path only
@@ -182,6 +190,18 @@ class _LinxProblem:
         grad = 0.5 * (gam * np.diagonal(K) - np.diagonal(W))
         hess = -0.5 * (gam * gam * (K * K) - gam * (P * P + P.T * P.T) + W * W)
         return 0.5 * (_logdet(chol) - self.shift), grad, hess
+
+    def psi_slope(self, x) -> float:
+        """Slope of the bound in psi = log(gamma), given its maximizer x.
+
+        By the envelope theorem it is df/dpsi at fixed x, which is
+        0.5 * (n - s - sum_i (1 - x_i) [F(x)^-1]_ii); 0 at binary x.
+        """
+        chol = self._chol(x)
+        if chol is None:
+            raise ArithmeticError("F(x) is not positive definite")
+        W = _cho_inverse(chol)
+        return 0.5 * (self.n - self.s - float((1.0 - x) @ np.diagonal(W)))
 
 
 def linx_objective(inst: Instance, mask: Mask, gamma: float, x) -> float:

@@ -11,9 +11,9 @@ the subset size s compares with rank(C):
     s > rank   the bound sinks to -inf as gamma grows, so no optimal
                gamma exists (every subset of size s is singular).
 
-The search works in psi space: it expands a bracket until the estimated
-slope changes sign, then narrows it by golden section (golden_section, the
-package's one 1-D minimizer, also used by gaps.scaled_gap_floor).  Any
+The search works in psi space on the sign of the exact slope, which each
+probe's maximizer gives by the envelope theorem (_LinxProblem.psi_slope):
+it expands a bracket until the slope changes sign, then bisects it.  Any
 probe whose maximizer comes out binary ends the search immediately:
 exactness at binary points makes that gamma globally optimal.  The limit
 program supplies its own value, gradient and Hessian and is maximized by
@@ -37,39 +37,15 @@ from .linx import (
     SolverOptions,
     _cho_inverse,
     _cholesky,
+    _LinxProblem,
     _logdet,
     _maximize_capped_simplex,
     certify_gamma_optimal,
     solve_linx,
 )
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-PSI_TOL = 1e-6          # golden-section bracket width on psi
-PSI_DERIV_STEP = 1e-4   # central-difference step for bracket expansion
+PSI_TOL = 1e-6          # bisection bracket width on psi
 PSI_LIMIT = 60.0        # expansion guard; far beyond any sane scaling
-
-
-def golden_section(fun, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section search for a minimizer of a convex fun on [lo, hi].
-
-    Shrinks the bracket until it is no wider than tol and returns it;
-    every probe goes through fun, so callers that record their probes can
-    pick the best one.
-    """
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc, fd = fun(c), fun(d)
-    while hi - lo > tol:
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = fun(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = fun(d)
-    return lo, hi
 
 
 class RegimeTag(Enum):
@@ -92,7 +68,9 @@ class GammaSearchResult:
     gamma_hat is math.inf for the two degenerate regimes.  psi_trace
     records every inner evaluation as (psi, bound) pairs, in evaluation
     order.  converged reports whether every inner solve met its gap
-    target.
+    target.  best is the inner solve at gamma_hat (the certified probe,
+    or else the one of least value), and None in the two degenerate
+    regimes.
     """
 
     gamma_hat: float
@@ -100,6 +78,7 @@ class GammaSearchResult:
     psi_trace: tuple[tuple[float, float], ...]
     regime: GammaRegime
     converged: bool
+    best: BoundResult | None = None
 
 
 def classify_regime(inst: Instance, s: int) -> GammaRegime:
@@ -172,9 +151,7 @@ def limit_linx_at_infinity(
 
 
 class _Certified(Exception):
-    def __init__(self, psi: float, value: float):
-        self.psi = psi
-        self.value = value
+    """Raised by a probe whose maximizer certifies its gamma optimal."""
 
 
 def _candidate_gammas(eff: Instance, s: int):
@@ -206,31 +183,35 @@ def optimize_gamma(
     The regime (and the limit program, when it applies) is keyed to the
     rank of the masked matrix C o M, since that is the matrix the bound
     actually sees.  In the interior regime the search expands a bracket
-    in psi = log(gamma) until the estimated derivative changes sign, then
-    golden-sections it down to PSI_TOL; the best evaluated probe is
+    in psi = log(gamma) until the exact slope changes sign, then bisects
+    it down to PSI_TOL, one solve per slope; the best evaluated probe is
     returned, so the reported bound never exceeds any trace entry.
     """
     s = int(s)
-    if mask is None or not np.any(mask.matrix.entries != 1.0):
+    mask = Mask.ones(inst.n) if mask is None else mask
+    if not np.any(mask.matrix.entries != 1.0):
         eff = inst
     else:
         eff = validate(SymMatrix.from_array(inst.C.entries * mask.matrix.entries), s)
     regime = classify_regime(eff, s)
     trace: list[tuple[float, float]] = []
     all_converged = True
-    ones = Mask.ones(eff.n)
+    best: BoundResult | None = None
 
-    def probe(psi: float, check_certificate: bool) -> float:
-        nonlocal all_converged
+    def probe(psi: float, check_certificate: bool) -> BoundResult:
+        nonlocal all_converged, best
         try:
-            res = solve_linx(eff, s, ones, math.exp(psi), opts)
+            res = solve_linx(inst, s, mask, math.exp(psi), opts)
         except ArithmeticError as exc:
             raise ArithmeticError(f"inner solve failed at psi={psi:.6g}: {exc}") from exc
         all_converged = all_converged and res.converged
         trace.append((psi, res.value))
+        if best is None or res.value < best.value:
+            best = res
         if check_certificate and certify_gamma_optimal(res, opts.tol_binary):
-            raise _Certified(psi, res.value)
-        return res.value
+            best = res
+            raise _Certified
+        return res
 
     if regime.tag is RegimeTag.UNBOUNDED_BELOW:
         for psi in (0.0, 7.0, 14.0):
@@ -253,13 +234,13 @@ def optimize_gamma(
             converged=lim.converged,
         )
 
+    def slope(psi: float) -> float:
+        res = probe(psi, check_certificate=True)
+        return _LinxProblem(inst, mask, res.gamma, s).psi_slope(res.x_hat)
+
     try:
         for gamma0 in _candidate_gammas(eff, s):
             probe(math.log(gamma0), check_certificate=True)
-
-        def slope(psi: float) -> float:
-            h = PSI_DERIV_STEP
-            return (probe(psi + h, True) - probe(psi - h, True)) / (2.0 * h)
 
         lo, hi = -2.0, 2.0
         while slope(lo) >= 0.0:
@@ -271,21 +252,20 @@ def optimize_gamma(
             if hi > PSI_LIMIT:
                 raise RuntimeError(f"bracket expansion ran away (psi={hi:.3g})")
 
-        golden_section(lambda psi: probe(psi, True), lo, hi, PSI_TOL)
-    except _Certified as hit:
-        return GammaSearchResult(
-            gamma_hat=math.exp(hit.psi),
-            bound_value=hit.value,
-            psi_trace=tuple(trace),
-            regime=regime,
-            converged=all_converged,
-        )
+        while hi - lo > PSI_TOL:
+            mid = 0.5 * (lo + hi)
+            if slope(mid) > 0.0:
+                hi = mid
+            else:
+                lo = mid
+    except _Certified:
+        pass
 
-    psi_best, val_best = min(trace, key=lambda pv: pv[1])
     return GammaSearchResult(
-        gamma_hat=math.exp(psi_best),
-        bound_value=val_best,
+        gamma_hat=best.gamma,
+        bound_value=best.value,
         psi_trace=tuple(trace),
         regime=regime,
         converged=all_converged,
+        best=best,
     )

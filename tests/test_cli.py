@@ -9,6 +9,8 @@ import pytest
 from linxbound import Mask, SymMatrix, solve_linx, validate
 from linxbound.cli import main, parse_args, run
 
+from helpers import gram_matrix
+
 J2 = "2\n1 1\n1 1\n"
 DIAG = "3\n2 0 0\n0 1.5 0\n0 0 0.5\n"
 I3 = "3\n1 0 0\n0 1 0\n0 0 1\n"
@@ -18,6 +20,14 @@ I3 = "3\n1 0 0\n0 1 0\n0 0 1\n"
 def j2_file(tmp_path):
     path = tmp_path / "j2.txt"
     path.write_text(J2)
+    return str(path)
+
+
+@pytest.fixture
+def gram8_file(tmp_path):
+    m = gram_matrix(np.random.default_rng(40), 8)
+    path = tmp_path / "gram8.txt"
+    path.write_text("8\n" + "\n".join(" ".join(repr(float(v)) for v in row) for row in m) + "\n")
     return str(path)
 
 
@@ -79,6 +89,22 @@ class TestBoundCommand:
         report = json.loads(text)
         assert report["gamma"] == pytest.approx(0.25)
         assert report["value"] == pytest.approx(math.log(2.0), abs=1e-9)
+
+    def test_auto_gamma_dense_reports_the_search_probe(self, gram8_file):
+        # the auto report's x_hat and gap come from the search's own probe
+        # at gamma-hat, which a fixed-gamma run at that gamma reproduces
+        status, text = _run(["bound", "--input", gram8_file, "--s", "4", "--gamma", "auto"])
+        assert status == 0
+        auto = json.loads(text)
+        assert auto["regime"] == "InteriorOptimum"
+        status, text = _run(
+            ["bound", "--input", gram8_file, "--s", "4", "--gamma", repr(auto["gamma"])]
+        )
+        assert status == 0
+        fixed = json.loads(text)
+        assert fixed["gamma"] == auto["gamma"]
+        for key in ("value", "x_hat", "duality_gap"):
+            assert auto[key] == fixed[key]
 
     def test_log_base_conversion(self, j2_file):
         _, nat = _run(["bound", "--input", j2_file, "--s", "1"])
@@ -207,6 +233,22 @@ class TestErrorPaths:
     def test_unknown_mask_spec(self, j2_file):
         status, _ = _run(["bound", "--input", j2_file, "--s", "1", "--mask", "bogus"])
         assert status == 1
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--tol-fw", "-1"),
+            ("--tol-fw", "nan"),
+            ("--tol-fw", "inf"),
+            ("--tol-fw", "0"),
+            ("--max-iter", "0"),
+            ("--max-iter", "-5"),
+        ],
+    )
+    def test_invalid_solver_options(self, j2_file, flag, value):
+        status, text = _run(["bound", "--input", j2_file, "--s", "1", flag, value])
+        assert status == 1
+        assert flag[2:].replace("-", "_") in text
 
     def test_unknown_flag_exits_invalid(self):
         assert main(["bound", "--nope"]) == 1

@@ -1,6 +1,7 @@
 """Scaling search, regime classification, and the infinite-scaling limit."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,9 +18,10 @@ from linxbound import (
     validate,
 )
 
+from linxbound.linx import _LinxProblem
 from linxbound.scaling import _LimitProblem
 
-from helpers import gram_matrix, hessian_error, interior_point
+from helpers import correlation_matrix, gram_matrix, hessian_error, interior_point
 
 
 class TestClassifyRegime:
@@ -108,6 +110,26 @@ class TestOptimizeGamma:
                 for _, val in search.psi_trace:
                     assert search.bound_value <= val + 1e-8
 
+    def test_dense_search_probe_count(self):
+        # one solve per slope: a [-2, 2] bracket bisected to PSI_TOL takes
+        # 24 probes, where finite-difference slopes plus golden section took 38
+        rng = np.random.default_rng(37)
+        for n in (8, 12, 16):
+            inst = validate(SymMatrix.from_array(gram_matrix(rng, n)), n // 2)
+            search = optimize_gamma(inst, n // 2)
+            assert search.regime.tag is RegimeTag.INTERIOR_OPTIMUM
+            assert search.converged
+            assert len(search.psi_trace) <= 26
+
+    def test_best_is_the_probe_at_gamma_hat(self):
+        rng = np.random.default_rng(38)
+        inst = validate(SymMatrix.from_array(gram_matrix(rng, 8)), 4)
+        search = optimize_gamma(inst, 4, Mask.identity(8))
+        assert search.best.gamma == search.gamma_hat
+        assert search.best.value == search.bound_value
+        assert search.best.mask_id == "I"
+        assert optimize_gamma(validate(SymMatrix.all_ones(2), 1), 1).best is None
+
     def test_closed_form_bound_shape(self):
         # for the rank-one 2x2 family the bound is 0.5*log(1 + 1/(4 gamma))
         inst = validate(SymMatrix.all_ones(2), 1)
@@ -118,6 +140,70 @@ class TestOptimizeGamma:
             assert res.value == pytest.approx(want, abs=1e-9)
             vals.append(res.value)
         assert vals == sorted(vals, reverse=True)
+
+
+class TestPsiSlope:
+    def test_matches_value_differences(self):
+        # envelope theorem: the slope at the maximizer equals the
+        # derivative of the optimal value in psi = log(gamma)
+        rng = np.random.default_rng(36)
+        tight = SolverOptions(tol_fw=1e-12)
+        h = 1e-4
+        for k in range(12):
+            n = int(rng.integers(4, 11))
+            s = int(rng.integers(1, n))
+            inst = validate(SymMatrix.from_array(gram_matrix(rng, n)), s)
+            if k % 2:
+                mask = Mask.from_matrix(SymMatrix.from_array(correlation_matrix(rng, n)))
+            else:
+                mask = Mask.ones(n)
+            for psi in (-1.0, 0.0, 1.5):
+                res = solve_linx(inst, s, mask, math.exp(psi), tight)
+                slope = _LinxProblem(inst, mask, res.gamma, s).psi_slope(res.x_hat)
+                up = solve_linx(inst, s, mask, math.exp(psi + h), tight).value
+                down = solve_linx(inst, s, mask, math.exp(psi - h), tight).value
+                fd = (up - down) / (2.0 * h)
+                assert abs(slope - fd) <= 1e-6 * max(1.0, abs(fd))
+
+    def test_zero_at_binary_maximizer(self):
+        inst = validate(SymMatrix.from_array([[2.0, 1.0], [1.0, 1.0]]), 1)
+        res = solve_linx(inst, 1, gamma=3.0)
+        assert np.array_equal(res.x_hat, [1.0, 0.0])
+        slope = _LinxProblem(inst, Mask.ones(2), 3.0, 1).psi_slope(res.x_hat)
+        assert abs(slope) <= 1e-12
+
+
+class TestConcurrency:
+    def test_threaded_solves_match_sequential(self):
+        # solves are pure functions of their inputs, so a thread pool
+        # must reproduce the sequential results bit for bit
+        rng = np.random.default_rng(39)
+        insts = []
+        for _ in range(6):
+            n = int(rng.integers(6, 11))
+            insts.append(validate(SymMatrix.from_array(gram_matrix(rng, n)), n // 2))
+        jobs = [(inst, g) for inst in insts for g in (0.5, 1.0, 2.0)]
+
+        def bound(job):
+            inst, gamma = job
+            return solve_linx(inst, inst.n // 2, gamma=gamma)
+
+        def search(inst):
+            return optimize_gamma(inst, inst.n // 2)
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(bound, jobs, timeout=120))
+        for job, res in zip(jobs, threaded):
+            want = bound(job)
+            assert res.value == want.value
+            assert np.array_equal(res.x_hat, want.x_hat)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            threaded = list(pool.map(search, insts[:3], timeout=120))
+        for inst, res in zip(insts[:3], threaded):
+            want = search(inst)
+            assert res.gamma_hat == want.gamma_hat
+            assert res.bound_value == want.bound_value
+            assert np.array_equal(res.best.x_hat, want.best.x_hat)
 
 
 class TestLimitProgram:
