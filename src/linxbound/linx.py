@@ -18,11 +18,13 @@ The maximizer is found by a log-barrier method.  F is affine in x, so
 on the hyperplane e.x = s.  Damped Newton steps x <- x + dx / (1 + lam),
 with lam the Newton decrement, stay inside the box without any line
 search; once an iterate is centred (lam < 1/4) the weight t grows by a
-fixed factor.  Convergence is certified independently of the method by
-the standard linearization gap max_v grad(x) . (v - x) over the vertices
-v of P(n, s), which upper-bounds the suboptimality of x.  A centred
-iterate close to the best vertex tries that vertex, so binary maximizers
-come out exactly binary.
+fixed factor.  Before t grows, coordinates within min(1/4, 1/sqrt(t)) of
+a bound are fixed at it and a few equality-constrained Newton steps on f
+alone run over the rest; a point of that face which meets the tolerance
+ends the solve, so coordinates that belong at 0 or 1 come out exactly
+there.  Convergence is certified independently of the method by the
+standard linearization gap max_v grad(x) . (v - x) over the vertices v of
+P(n, s), which upper-bounds the suboptimality of x.
 
 Everything here is a pure function of its inputs; solves on shared
 instances may run concurrently.
@@ -42,7 +44,8 @@ NEG_INF = float("-inf")
 
 _CENTRED = 0.25      # Newton decrement below which an iterate counts as centred
 _T_GROWTH = 8.0      # barrier weight factor per centred iterate
-_SNAP_RADIUS = 0.1   # max-norm distance at which the best vertex is tried
+_FACE_RADIUS = 0.25  # largest distance to a bound at which a coordinate is fixed
+_FACE_STEPS = 4      # Newton steps allowed on a predicted face
 
 
 @dataclass(frozen=True)
@@ -51,9 +54,11 @@ class SolverOptions:
 
     tol_fw is the absolute target for the linearization (Frank-Wolfe)
     duality gap; None means 1e-8 * max(1, |f(x0)|), fixed at the uniform
-    start x0.  max_iter caps the number of Newton steps.  tol_feas bounds
-    the rounding drift of e.x away from s, and tol_binary is the default
-    distance to a vertex that certify_gamma_optimal accepts as binary.
+    start x0.  max_iter caps the number of Newton steps, barrier and face
+    steps alike; a face finish counts its projected point as one more.
+    tol_feas bounds the rounding drift of e.x away from s, and tol_binary
+    is the default distance to a vertex that certify_gamma_optimal
+    accepts as binary.
     A tol_fw not finite and positive or a max_iter below 1 is rejected.
     """
 
@@ -104,6 +109,11 @@ def lmo_capped_simplex(g, s: int) -> np.ndarray:
     v = np.zeros(n)
     v[np.argsort(-g, kind="stable")[:s]] = 1.0
     return v
+
+
+def _fw_gap(g, x, s: int) -> float:
+    """Linearization gap max_v g.(v - x) over the vertices v of P(n, s)."""
+    return float(g @ (lmo_capped_simplex(g, s) - x))
 
 
 def _cholesky(mat):
@@ -232,25 +242,80 @@ def linx_gradient(inst: Instance, mask: Mask, gamma: float, x) -> np.ndarray:
     return grad
 
 
-def _newton_step(x, g, hess, t: float):
-    """Newton step of psi_t restricted to e.dx = 0, and its decrement."""
-    u = 1.0 - x
-    grad = -2.0 * t * g - 1.0 / x + 1.0 / u
-    H = -2.0 * t * hess
-    H.flat[:: x.shape[0] + 1] += 1.0 / (x * x) + 1.0 / (u * u)
+def _kkt_step(grad, H):
+    """Minimizer of grad.dx + dx.H.dx / 2 on e.dx = 0, and its decrement."""
     # H dx + nu e = -grad with e.dx = 0, from one solve with two right-hand sides
     a, b = np.linalg.solve(H, np.column_stack((grad, np.ones_like(grad)))).T
     dx = (a.sum() / b.sum()) * b - a
     return dx, math.sqrt(max(-float(grad @ dx), 0.0))
 
 
+def _newton_step(x, g, hess, t: float):
+    """Newton step of psi_t restricted to e.dx = 0, and its decrement."""
+    u = 1.0 - x
+    H = -2.0 * t * hess
+    H.flat[:: x.shape[0] + 1] += 1.0 / (x * x) + 1.0 / (u * u)
+    return _kkt_step(-2.0 * t * g - 1.0 / x + 1.0 / u, H)
+
+
+def _reproject(x, s: int):
+    """Move x onto e.x = s in proportion to x(1 - x), which keeps 0 and 1."""
+    w = x * (1.0 - x)
+    return x + (s - float(x.sum())) / float(w.sum()) * w
+
+
+def _face_newton(problem, x, s: int, t: float, tol: float, budget: int):
+    """Newton on f over the face of P(n, s) that x approaches.
+
+    Coordinates within min(_FACE_RADIUS, 1/sqrt(t)) of a bound are fixed
+    at it; the rest are re-projected onto e.y = s and take up to
+    _FACE_STEPS equality-constrained Newton steps of -2 f, which is
+    self-concordant, damped by 1/(1 + lam) while lam >= _CENTRED.  The
+    projected point and each step cost one derivatives call, at most
+    budget in all.  Returns (calls, (y, f, g)) for the first point whose
+    linearization gap is at most tol, and (calls, None) when the face has
+    no interior, F(y) is not positive definite, the free block is
+    singular, a free coordinate leaves (0, 1) or the steps run out.
+    """
+    theta = min(_FACE_RADIUS, 1.0 / math.sqrt(t))
+    low, high = x < theta, x > 1.0 - theta
+    free = ~(low | high)
+    k, m = int(free.sum()), s - int(high.sum())
+    if k == x.shape[0] or not (0 < m < k or m == k == 0):
+        return 0, None
+    y = np.where(high, 1.0, np.where(low, 0.0, x))
+    calls = 0
+    while calls < budget:
+        if k:
+            y = _reproject(y, s)
+            if not (y[free].min() > 0.0 and y[free].max() < 1.0):
+                break  # also catches a step that is not finite
+        calls += 1
+        f, g, hess = problem.derivatives(y)
+        if not np.isfinite(f):
+            break
+        if _fw_gap(g, y, s) <= tol:
+            return calls, (y, f, g)
+        if k == 0 or calls > _FACE_STEPS:
+            break
+        try:
+            dy, lam = _kkt_step(-2.0 * g[free], -2.0 * hess[np.ix_(free, free)])
+        except np.linalg.LinAlgError:
+            break
+        y[free] += dy / (1.0 + lam) if lam >= _CENTRED else dy
+    return calls, None
+
+
 def _maximize_capped_simplex(problem, n: int, s: int, opts: SolverOptions):
     """Barrier-method core shared by the bound solvers.
 
     problem.derivatives(x) returns the value, gradient and Hessian of the
-    concave objective.  Stops when the linearization gap meets the
-    tolerance, when max_iter Newton steps are spent, or when rounding
-    pushes a step out of the open box.
+    concave objective.  Each centred iterate first tries _face_newton on
+    the face it approaches and returns that face's point when it meets
+    the tolerance; otherwise t grows and the barrier goes on from x.
+    Stops when the linearization gap meets the tolerance, when max_iter
+    derivatives calls are spent, or when rounding pushes a step out of
+    the open box.
     """
     x = np.full(n, s / n)
     f, g, hess = problem.derivatives(x)
@@ -261,28 +326,25 @@ def _maximize_capped_simplex(problem, n: int, s: int, opts: SolverOptions):
     iters = 0
     while iters < opts.max_iter:
         iters += 1
-        v = lmo_capped_simplex(g, s)
-        if float(g @ (v - x)) <= tol:
+        if _fw_gap(g, x, s) <= tol:
             break
         dx, lam = _newton_step(x, g, hess, t)
         if lam < _CENTRED:
-            if float(np.max(np.abs(x - v))) <= _SNAP_RADIUS:
-                fv, gv, _ = problem.derivatives(v)
-                if fv >= f and float(gv @ (lmo_capped_simplex(gv, s) - v)) <= tol:
-                    x, f, g = v, fv, gv
-                    break
+            calls, face = _face_newton(problem, x, s, t, tol, opts.max_iter - iters)
+            iters += calls
+            if face is not None:
+                x, f, g = face
+                break
             t *= _T_GROWTH
             dx, lam = _newton_step(x, g, hess, t)
-        xn = x + dx / (1.0 + lam)
-        w = xn * (1.0 - xn)
-        xn += (s - float(xn.sum())) / float(w.sum()) * w
+        xn = _reproject(x + dx / (1.0 + lam), s)
         if not (xn.min() > 0.0 and xn.max() < 1.0):
             break  # rounding left the open box; x is the last good iterate
         fn, gn, hn = problem.derivatives(xn)
         if not np.isfinite(fn):
             break
         x, f, g, hess = xn, fn, gn, hn
-    gap = float(g @ (lmo_capped_simplex(g, s) - x))
+    gap = _fw_gap(g, x, s)
     converged = gap <= tol
     drift = s - float(x.sum())
     if drift != 0.0:

@@ -299,6 +299,53 @@ class TestLargeInstances:
         assert is_feasible(res.x_hat, 64)
 
 
+class TestFaceFinish:
+    def test_tight_tolerances_converge(self):
+        # the instances of test_scaling.TestPsiSlope; the barrier alone
+        # stopped 3, 7 and 11 of these 36 solves early, when rounding
+        # pushed a step out of the open box
+        for tol in (1e-10, 1e-11, 1e-12):
+            rng = np.random.default_rng(36)
+            opts = SolverOptions(tol_fw=tol)
+            for k in range(12):
+                n = int(rng.integers(4, 11))
+                s = int(rng.integers(1, n))
+                inst = _instance(gram_matrix(rng, n), s)
+                if k % 2:
+                    mask = Mask.from_matrix(SymMatrix.from_array(correlation_matrix(rng, n)))
+                else:
+                    mask = Mask.ones(n)
+                for psi in (-1.0, 0.0, 1.5):
+                    res = solve_linx(inst, s, mask, math.exp(psi), opts)
+                    assert res.converged, (tol, k, psi, res.duality_gap)
+
+    def test_step_count_and_exact_bounds(self):
+        # the barrier alone averages about 50 Newton steps here and leaves
+        # coordinates that belong at a bound a tolerance away from it
+        rng = np.random.default_rng(40)
+        iterations = []
+        for k in range(12):
+            n = 6 + k % 7
+            s = n // 2 if k % 2 == 0 else n // 3
+            inst = _instance(gram_matrix(rng, n), s)
+            for gamma in (0.5, 1.0, 2.0):
+                res = solve_linx(inst, s, gamma=gamma)
+                assert res.converged
+                iterations.append(res.iterations)
+                x = res.x_hat
+                near = np.minimum(x, 1.0 - x) <= 1e-6
+                assert np.all((x[near] == 0.0) | (x[near] == 1.0))
+        assert np.mean(iterations) <= 30
+
+    @pytest.mark.parametrize("d, s", [([1.0, 1.0, 0.5], 1), ([2.0, 1.0, 1.0, 0.5], 2)])
+    def test_flat_coordinates_match_closed_form(self, d, s):
+        # gamma d_i^2 = 1 makes the free block of the face Hessian singular
+        d = np.array(d)
+        res = solve_linx(_instance(np.diag(d), s), s)
+        assert res.converged
+        assert abs(res.value - solve_diagonal_linx(d, s).value) <= 1e-12
+
+
 class TestCertificate:
     def test_binary_maximizer_certifies(self):
         inst = _instance(np.diag([2.0, 1.5, 0.5]), 1)
