@@ -32,7 +32,7 @@ from .instance import Mask, SymMatrix, validate
 from .linx import DEFAULT_OPTIONS, SolverOptions, solve_linx
 from .scaling import optimize_gamma
 
-DEFAULT_N_CAP = 64   # inner solves are O(n^3) per iteration
+DEFAULT_N_CAP = 256  # largest order per row; every Newton step of a row costs O(n^3)
 
 UNSCALED_FLOOR_PER_N = 0.25 * math.log(4.0 / 3.0)
 

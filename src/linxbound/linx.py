@@ -26,6 +26,10 @@ there.  Convergence is certified independently of the method by the
 standard linearization gap max_v grad(x) . (v - x) over the vertices v of
 P(n, s), which upper-bounds the suboptimality of x.
 
+The scaling search runs the same engine with psi = log(gamma) as one more,
+free, variable: f is convex in psi, so it takes joint Newton steps to the
+saddle point, max over x and min over psi (see _maximize_capped_simplex).
+
 Everything here is a pure function of its inputs; solves on shared
 instances may run concurrently.
 """
@@ -46,6 +50,9 @@ _CENTRED = 0.25      # Newton decrement below which an iterate counts as centred
 _T_GROWTH = 8.0      # barrier weight factor per centred iterate
 _FACE_RADIUS = 0.25  # largest distance to a bound at which a coordinate is fixed
 _FACE_STEPS = 4      # Newton steps allowed on a predicted face
+_PSI_RUNAWAY = 60.0  # distance from its start at which a carried psi has run away
+
+SLOPE_TOL = 1e-7     # target for |f_psi| when psi is carried
 
 
 @dataclass(frozen=True)
@@ -86,6 +93,11 @@ class BoundResult:
     mask_id: str
     iterations: int
     converged: bool
+
+    @property
+    def upper_bound(self) -> float:
+        """Certified bound on the relaxation's maximum: value + duality_gap."""
+        return self.value + self.duality_gap
 
 
 def is_feasible(x, s: int, tol_feas: float = 1e-10) -> bool:
@@ -143,6 +155,13 @@ class _LinxProblem:
         grad = 0.5 * (gamma diag(K) - diag(W)),
         hess = -0.5 * (gamma^2 K o K - gamma (P o P + P^T o P^T) + W o W).
 
+    The same W and P give the derivatives in psi = log(gamma): with
+    d = e - x, dF/dpsi = F - Diag(d), so
+
+        f_psi    = 0.5 * (n - s - d . diag(W)),
+        f_psipsi = 0.5 * (d . diag(W) - d . (W o W) d),
+        f_xpsi   = 0.5 * (diag(W) + gamma (P o P) d - (W o W) d).
+
     When the masked matrix is diagonal, everything reduces to
     per-coordinate factors (gamma * a_ii^2 - 1) x_i + 1 and the O(n^3)
     factorizations disappear.
@@ -158,48 +177,78 @@ class _LinxProblem:
         self.s = s
         self.shift = s * math.log(self.gamma)
         self.diagonal = not np.any(A - np.diag(np.diagonal(A)))
-        self.coef = self.gamma * np.diagonal(A) ** 2 - 1.0  # diagonal path only
+        self.asq = np.diagonal(A) ** 2  # diagonal path only
+        self.coef = self.gamma * self.asq - 1.0
 
-    def _factors(self, x):
-        fac = self.coef * x + 1.0
+    def _factors(self, x, coef):
+        fac = coef * x + 1.0
         return fac if np.all(fac > 0.0) else None
 
-    def _chol(self, x):
-        F = self.gamma * ((self.A * x) @ self.A)
+    def _chol(self, x, gam):
+        F = gam * ((self.A * x) @ self.A)
         F.flat[:: self.n + 1] += 1.0 - x
         return _cholesky(F)
 
     def value(self, x) -> float:
         if self.diagonal:
-            fac = self._factors(x)
+            fac = self._factors(x, self.coef)
             if fac is None:
                 return NEG_INF
             return 0.5 * (float(np.sum(np.log(fac))) - self.shift)
-        chol = self._chol(x)
+        chol = self._chol(x, self.gamma)
         if chol is None:
             return NEG_INF
         return 0.5 * (_logdet(chol) - self.shift)
 
-    def derivatives(self, x):
+    def derivatives(self, x, psi=None):
         """(value, gradient, Hessian) of f at x; (-inf, None, None) where
-        F(x) is not positive definite."""
+        F(x) is not positive definite.
+
+        Given psi, f is taken at gamma = e^psi instead of the problem's
+        own gamma, and a fourth entry (f_psi, f_psipsi, f_xpsi) follows.
+        """
+        if psi is None:
+            gam, shift, coef = self.gamma, self.shift, self.coef
+        else:
+            gam, shift = math.exp(psi), self.s * psi
+            coef = gam * self.asq - 1.0
         if self.diagonal:
-            fac = self._factors(x)
+            fac = self._factors(x, coef)
             if fac is None:
                 return NEG_INF, None, None
-            r = self.coef / fac
-            val = 0.5 * (float(np.sum(np.log(fac))) - self.shift)
-            return val, 0.5 * r, np.diag(-0.5 * r * r)
-        chol = self._chol(x)
+            r = coef / fac
+            val = 0.5 * (float(np.sum(np.log(fac))) - shift)
+            out = (val, 0.5 * r, np.diag(-0.5 * r * r))
+            if psi is None:
+                return out
+            d = 1.0 - x
+            w = 1.0 / fac
+            wwd = w * w * d
+            return out + (self._psi_terms(d, w, wwd, self.asq * wwd, gam),)
+        chol = self._chol(x, gam)
         if chol is None:
             return NEG_INF, None, None
         W = _cho_inverse(chol)
         P = self.A @ W
         K = P @ self.A
-        gam = self.gamma
+        WW, PP = W * W, P * P
         grad = 0.5 * (gam * np.diagonal(K) - np.diagonal(W))
-        hess = -0.5 * (gam * gam * (K * K) - gam * (P * P + P.T * P.T) + W * W)
-        return 0.5 * (_logdet(chol) - self.shift), grad, hess
+        hess = -0.5 * (gam * gam * (K * K) - gam * (PP + PP.T) + WW)
+        out = (0.5 * (_logdet(chol) - shift), grad, hess)
+        if psi is None:
+            return out
+        d = 1.0 - x
+        return out + (self._psi_terms(d, np.diagonal(W), WW @ d, PP @ d, gam),)
+
+    def _psi_terms(self, d, wdiag, wwd, ppd, gam):
+        """(f_psi, f_psipsi, f_xpsi) from d = e - x, diag(W), (W o W) d
+        and (P o P) d."""
+        dw = float(d @ wdiag)
+        return (
+            0.5 * (self.n - self.s - dw),
+            0.5 * (dw - float(d @ wwd)),
+            0.5 * (wdiag + gam * ppd - wwd),
+        )
 
     def psi_slope(self, x) -> float:
         """Slope of the bound in psi = log(gamma), given its maximizer x.
@@ -207,11 +256,10 @@ class _LinxProblem:
         By the envelope theorem it is df/dpsi at fixed x, which is
         0.5 * (n - s - sum_i (1 - x_i) [F(x)^-1]_ii); 0 at binary x.
         """
-        chol = self._chol(x)
-        if chol is None:
+        out = self.derivatives(x, math.log(self.gamma))
+        if out[1] is None:
             raise ArithmeticError("F(x) is not positive definite")
-        W = _cho_inverse(chol)
-        return 0.5 * (self.n - self.s - float((1.0 - x) @ np.diagonal(W)))
+        return out[3][0]
 
 
 def linx_objective(inst: Instance, mask: Mask, gamma: float, x) -> float:
@@ -242,20 +290,54 @@ def linx_gradient(inst: Instance, mask: Mask, gamma: float, x) -> np.ndarray:
     return grad
 
 
-def _kkt_step(grad, H):
-    """Minimizer of grad.dx + dx.H.dx / 2 on e.dx = 0, and its decrement."""
-    # H dx + nu e = -grad with e.dx = 0, from one solve with two right-hand sides
-    a, b = np.linalg.solve(H, np.column_stack((grad, np.ones_like(grad)))).T
+def _kkt_step(grad, H, border=None):
+    """Minimizer of grad.dx + dx.H.dx / 2 on e.dx = 0, and its decrement.
+
+    Returns (dx, dpsi, lam, mu).  Without border, dpsi = mu = 0.  With
+    border = (g_psi, h_psipsi, h_xpsi), h_psipsi <= 0, a free scalar psi
+    joins x and the step is the Newton step to the saddle point, min over
+    dx and max over dpsi, of the quadratic model with the extra terms
+    g_psi dpsi + dpsi h_xpsi.dx + h_psipsi dpsi^2 / 2.  Its decrement
+    mu = |dpsi| max(1, sqrt(-h_psipsi)) also counts the plain length of
+    dpsi: at fixed x the bound is a sum of terms log(1 + e^psi k_i), whose
+    third derivative in psi is bounded by their second but not by its
+    power 3/2, so a long step can be short in the Hessian norm.
+    """
+    # H dx + h_xpsi dpsi + nu e = -grad with e.dx = 0, from one solve with
+    # two right-hand sides, or three when psi is carried
+    rhs = (grad, np.ones_like(grad)) if border is None else (grad, np.ones_like(grad), border[2])
+    a, b, *c = np.linalg.solve(H, np.column_stack(rhs)).T
     dx = (a.sum() / b.sum()) * b - a
-    return dx, math.sqrt(max(-float(grad @ dx), 0.0))
+    if border is None:
+        return dx, 0.0, math.sqrt(max(-float(grad @ dx), 0.0)), 0.0
+    g_psi, h_pp, h_xp = border
+    dc = (c[0].sum() / b.sum()) * b - c[0]  # the x response to a unit dpsi
+    schur = h_pp + float(h_xp @ dc)        # <= 0; 0 where the psi-map is flat
+    dpsi = -(g_psi + float(h_xp @ dx)) / schur if schur != 0.0 else 0.0
+    dx = dx + dpsi * dc
+    lam = math.sqrt(max(-float((grad + dpsi * h_xp) @ dx), 0.0))
+    return dx, dpsi, lam, abs(dpsi) * max(1.0, math.sqrt(max(-h_pp, 0.0)))
 
 
-def _newton_step(x, g, hess, t: float):
-    """Newton step of psi_t restricted to e.dx = 0, and its decrement."""
+def _newton_step(x, point, t: float):
+    """Newton step of psi_t at an evaluated point, restricted to e.dx = 0:
+    (dx, dpsi, lam, mu), with dpsi = mu = 0 unless psi is carried."""
+    _, g, hess, *mixed = point
     u = 1.0 - x
     H = -2.0 * t * hess
     H.flat[:: x.shape[0] + 1] += 1.0 / (x * x) + 1.0 / (u * u)
-    return _kkt_step(-2.0 * t * g - 1.0 / x + 1.0 / u, H)
+    border = tuple(-2.0 * t * v for v in mixed[0]) if mixed else None
+    return _kkt_step(-2.0 * t * g - 1.0 / x + 1.0 / u, H, border)
+
+
+def _slope(point) -> float:
+    """|f_psi| at an evaluated point; 0 when psi is not carried."""
+    return abs(point[3][0]) if len(point) == 4 else 0.0
+
+
+def _met(point, x, s: int, tol: float) -> bool:
+    """Whether the gap target, and the slope target if psi is carried, hold."""
+    return _fw_gap(point[1], x, s) <= tol and _slope(point) <= SLOPE_TOL
 
 
 def _reproject(x, s: int):
@@ -264,18 +346,19 @@ def _reproject(x, s: int):
     return x + (s - float(x.sum())) / float(w.sum()) * w
 
 
-def _face_newton(problem, x, s: int, t: float, tol: float, budget: int):
+def _face_newton(evaluate, x, psi, s: int, t: float, tol: float, budget: int):
     """Newton on f over the face of P(n, s) that x approaches.
 
     Coordinates within min(_FACE_RADIUS, 1/sqrt(t)) of a bound are fixed
     at it; the rest are re-projected onto e.y = s and take up to
     _FACE_STEPS equality-constrained Newton steps of -2 f, which is
-    self-concordant, damped by 1/(1 + lam) while lam >= _CENTRED.  The
-    projected point and each step cost one derivatives call, at most
-    budget in all.  Returns (calls, (y, f, g)) for the first point whose
-    linearization gap is at most tol, and (calls, None) when the face has
-    no interior, F(y) is not positive definite, the free block is
-    singular, a free coordinate leaves (0, 1) or the steps run out.
+    self-concordant, jointly with psi when it is carried, damped by
+    1/(1 + max(lam, mu)) while that maximum is at least _CENTRED.  The
+    projected point and each step cost one evaluate(y, psi) call, at most
+    budget in all.  Returns (calls, (y, psi, point)) for the first point
+    that meets the targets, and (calls, None) when the face has no
+    interior, F(y) is not positive definite, the free block is singular,
+    a free coordinate leaves (0, 1) or the steps run out.
     """
     theta = min(_FACE_RADIUS, 1.0 / math.sqrt(t))
     low, high = x < theta, x > 1.0 - theta
@@ -291,22 +374,30 @@ def _face_newton(problem, x, s: int, t: float, tol: float, budget: int):
             if not (y[free].min() > 0.0 and y[free].max() < 1.0):
                 break  # also catches a step that is not finite
         calls += 1
-        f, g, hess = problem.derivatives(y)
-        if not np.isfinite(f):
+        point = evaluate(y, psi)
+        if not np.isfinite(point[0]):
             break
-        if _fw_gap(g, y, s) <= tol:
-            return calls, (y, f, g)
+        if _met(point, y, s, tol):
+            return calls, (y, psi, point)
         if k == 0 or calls > _FACE_STEPS:
             break
+        _, g, hess, *mixed = point
+        border = None
+        if mixed:
+            f_psi, f_pp, f_xp = mixed[0]
+            border = (-2.0 * f_psi, -2.0 * f_pp, -2.0 * f_xp[free])
         try:
-            dy, lam = _kkt_step(-2.0 * g[free], -2.0 * hess[np.ix_(free, free)])
+            dy, dpsi, lam, mu = _kkt_step(-2.0 * g[free], -2.0 * hess[np.ix_(free, free)], border)
         except np.linalg.LinAlgError:
             break
-        y[free] += dy / (1.0 + lam) if lam >= _CENTRED else dy
+        damp = 1.0 + max(lam, mu) if max(lam, mu) >= _CENTRED else 1.0
+        y[free] += dy / damp
+        if psi is not None:
+            psi += dpsi / damp
     return calls, None
 
 
-def _maximize_capped_simplex(problem, n: int, s: int, opts: SolverOptions):
+def _maximize_capped_simplex(problem, n: int, s: int, opts: SolverOptions, psi=None):
     """Barrier-method core shared by the bound solvers.
 
     problem.derivatives(x) returns the value, gradient and Hessian of the
@@ -316,36 +407,59 @@ def _maximize_capped_simplex(problem, n: int, s: int, opts: SolverOptions):
     Stops when the linearization gap meets the tolerance, when max_iter
     derivatives calls are spent, or when rounding pushes a step out of
     the open box.
+
+    Given a starting psi, problem.derivatives(x, psi) must also return
+    the psi-derivatives (as _LinxProblem's does), and the engine finds
+    the saddle point, max over x and min over psi, of f(x, psi), which
+    is convex in psi.  Each step, the face finish's too, is then the
+    joint Newton step in (x, psi), damped by 1/(1 + max(lam, mu)) with mu
+    the decrement of the psi block; t grows when both decrements are
+    below _CENTRED; and the solve stops only when also |f_psi| <=
+    SLOPE_TOL.  A psi farther than _PSI_RUNAWAY from its start raises
+    RuntimeError.
+
+    Returns (x, f, gap, iterations, converged, psi), psi None when it is
+    not carried.
     """
-    x = np.full(n, s / n)
-    f, g, hess = problem.derivatives(x)
-    if not np.isfinite(f):
+
+    def evaluate(y, p):
+        return problem.derivatives(y) if p is None else problem.derivatives(y, p)
+
+    x, psi0 = np.full(n, s / n), psi
+    point = evaluate(x, psi)
+    if not np.isfinite(point[0]):
         raise ArithmeticError("objective is undefined at the uniform start point")
-    tol = opts.tol_fw if opts.tol_fw is not None else 1e-8 * max(1.0, abs(f))
+    tol = opts.tol_fw if opts.tol_fw is not None else 1e-8 * max(1.0, abs(point[0]))
     t = 1.0
     iters = 0
     while iters < opts.max_iter:
         iters += 1
-        if _fw_gap(g, x, s) <= tol:
+        if _met(point, x, s, tol):
             break
-        dx, lam = _newton_step(x, g, hess, t)
-        if lam < _CENTRED:
-            calls, face = _face_newton(problem, x, s, t, tol, opts.max_iter - iters)
+        dx, dpsi, lam, mu = _newton_step(x, point, t)
+        if max(lam, mu) < _CENTRED:
+            calls, face = _face_newton(evaluate, x, psi, s, t, tol, opts.max_iter - iters)
             iters += calls
             if face is not None:
-                x, f, g = face
+                x, psi, point = face
                 break
             t *= _T_GROWTH
-            dx, lam = _newton_step(x, g, hess, t)
-        xn = _reproject(x + dx / (1.0 + lam), s)
+            dx, dpsi, lam, mu = _newton_step(x, point, t)
+        damp = 1.0 + max(lam, mu)
+        xn = _reproject(x + dx / damp, s)
         if not (xn.min() > 0.0 and xn.max() < 1.0):
             break  # rounding left the open box; x is the last good iterate
-        fn, gn, hn = problem.derivatives(xn)
-        if not np.isfinite(fn):
+        psin = None
+        if psi is not None:
+            psin = psi + dpsi / damp
+            if not abs(psin - psi0) <= _PSI_RUNAWAY:
+                raise RuntimeError(f"scaling search ran away (psi={psin:.3g})")
+        pointn = evaluate(xn, psin)
+        if not np.isfinite(pointn[0]):
             break
-        x, f, g, hess = xn, fn, gn, hn
-    gap = _fw_gap(g, x, s)
-    converged = gap <= tol
+        x, psi, point = xn, psin, pointn
+    gap = _fw_gap(point[1], x, s)
+    converged = gap <= tol and _slope(point) <= SLOPE_TOL
     drift = s - float(x.sum())
     if drift != 0.0:
         if abs(drift) > opts.tol_feas:
@@ -353,7 +467,7 @@ def _maximize_capped_simplex(problem, n: int, s: int, opts: SolverOptions):
         j = int(np.argmax(np.minimum(x, 1.0 - x)))
         if 0.0 <= x[j] + drift <= 1.0:
             x[j] += drift
-    return x, f, max(gap, 0.0), iters, converged
+    return x, point[0], max(gap, 0.0), iters, converged, psi
 
 
 def solve_linx(
@@ -378,7 +492,7 @@ def solve_linx(
     if not 0 < s < inst.n:
         raise ValueError(f"need 0 < s < n, got s={s}, n={inst.n}")
     problem = _LinxProblem(inst, mask, gamma, s)
-    x, f, gap, iters, converged = _maximize_capped_simplex(problem, inst.n, s, opts)
+    x, f, gap, iters, converged, _ = _maximize_capped_simplex(problem, inst.n, s, opts)
     return BoundResult(
         value=f,
         x_hat=_freeze(x),

@@ -5,19 +5,22 @@ the subset size s compares with rank(C):
 
     s < rank   the bound blows up as gamma -> 0 and gamma -> inf, and it
                is convex in psi = log(gamma), so a finite optimal gamma
-               exists and one-dimensional search finds it;
+               exists and the saddle search below finds it;
     s = rank   the bound is non-increasing in gamma with a finite limit,
                computed here by a single auxiliary concave program;
     s > rank   the bound sinks to -inf as gamma grows, so no optimal
                gamma exists (every subset of size s is singular).
 
-The search works in psi space on the sign of the exact slope, which each
-probe's maximizer gives by the envelope theorem (_LinxProblem.psi_slope):
-it expands a bracket until the slope changes sign, then bisects it.  Any
-probe whose maximizer comes out binary ends the search immediately:
-exactness at binary points makes that gamma globally optimal.  The limit
-program supplies its own value, gradient and Hessian and is maximized by
-the same barrier engine as the linx bound.
+In the interior regime the bound is min over psi = log(gamma) of max over
+x of f(x, psi), and f is concave in x and convex in psi, so the search is
+one convex-concave saddle problem.  The closed-form candidate scalings are
+solved first, and a binary maximizer among them ends the search: exactness
+at binary points makes that gamma globally optimal.  Otherwise the barrier
+engine carries psi next to x and takes joint Newton steps on (x, psi) until
+the linearization gap and |df/dpsi| both meet their targets; one ordinary
+solve at the resulting gamma then gives the reported, certified bound.  The
+limit program supplies its own value, gradient and Hessian and is maximized
+by the same barrier engine as the linx bound.
 """
 
 from __future__ import annotations
@@ -44,10 +47,6 @@ from .linx import (
     solve_linx,
 )
 
-PSI_TOL = 1e-6          # bisection bracket width on psi
-PSI_LIMIT = 60.0        # expansion guard; far beyond any sane scaling
-
-
 class RegimeTag(Enum):
     INTERIOR_OPTIMUM = "InteriorOptimum"
     LIMIT_AT_INFINITY = "LimitAtInfinity"
@@ -66,11 +65,14 @@ class GammaSearchResult:
     """Outcome of the scaling search.
 
     gamma_hat is math.inf for the two degenerate regimes.  psi_trace
-    records every inner evaluation as (psi, bound) pairs, in evaluation
-    order.  converged reports whether every inner solve met its gap
-    target.  best is the inner solve at gamma_hat (the certified probe,
-    or else the one of least value), and None in the two degenerate
-    regimes.
+    records every solve_linx call as (psi, value) pairs, in evaluation
+    order: in the interior regime the closed-form candidates, then, unless
+    one certified, the solve at the saddle point's psi; in the s > rank
+    regime the three diagnostic probes.  converged reports whether every
+    one of those solves met its gap target and, when the saddle solve ran,
+    whether it met both its gap and slope targets.  best is the solve at
+    gamma_hat, the one of least certified bound (value + duality_gap), and
+    None in the two degenerate regimes.
     """
 
     gamma_hat: float
@@ -138,7 +140,7 @@ def limit_linx_at_infinity(
     if s != inst.rank:
         raise ValueError(f"limit program requires s = rank, got s={s}, rank={inst.rank}")
     problem = _LimitProblem(inst, s)
-    x, f, gap, iters, converged = _maximize_capped_simplex(problem, inst.n, s, opts)
+    x, f, gap, iters, converged, _ = _maximize_capped_simplex(problem, inst.n, s, opts)
     return BoundResult(
         value=f,
         x_hat=_freeze(x),
@@ -148,10 +150,6 @@ def limit_linx_at_infinity(
         iterations=iters,
         converged=converged,
     )
-
-
-class _Certified(Exception):
-    """Raised by a probe whose maximizer certifies its gamma optimal."""
 
 
 def _candidate_gammas(eff: Instance, s: int):
@@ -172,6 +170,14 @@ def _candidate_gammas(eff: Instance, s: int):
             pass
 
 
+def _probe(inst: Instance, s: int, mask: Mask, psi: float, opts: SolverOptions):
+    """(psi, solve_linx at gamma = e^psi), naming psi if the solve fails."""
+    try:
+        return psi, solve_linx(inst, s, mask, math.exp(psi), opts)
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"inner solve failed at psi={psi:.6g}: {exc}") from exc
+
+
 def optimize_gamma(
     inst: Instance,
     s: int,
@@ -182,10 +188,18 @@ def optimize_gamma(
 
     The regime (and the limit program, when it applies) is keyed to the
     rank of the masked matrix C o M, since that is the matrix the bound
-    actually sees.  In the interior regime the search expands a bracket
-    in psi = log(gamma) until the exact slope changes sign, then bisects
-    it down to PSI_TOL, one solve per slope; the best evaluated probe is
-    returned, so the reported bound never exceeds any trace entry.
+    actually sees.  In the interior regime the closed-form candidates are
+    solved first, and one whose maximizer is binary ends the search.
+    Otherwise _maximize_capped_simplex, started at the psi that is optimal
+    for the diagonal of C o M, finds the saddle point (x, psi) of f, max
+    over x and min over psi = log(gamma), by joint Newton steps; it stops
+    when the linearization gap meets opts' target and |df/dpsi| <=
+    linx.SLOPE_TOL.  One cold solve_linx at gamma = e^psi follows, so the
+    reported bound and best come from an ordinary solve, and
+    bound --gamma auto matches bound --gamma <gamma_hat>.  psi_trace holds
+    the candidates followed by that solve; best is the entry of least
+    certified bound (value + duality_gap), so the reported bound never
+    exceeds the certified bound of any trace entry.
     """
     s = int(s)
     mask = Mask.ones(inst.n) if mask is None else mask
@@ -194,34 +208,15 @@ def optimize_gamma(
     else:
         eff = validate(SymMatrix.from_array(inst.C.entries * mask.matrix.entries), s)
     regime = classify_regime(eff, s)
-    trace: list[tuple[float, float]] = []
-    all_converged = True
-    best: BoundResult | None = None
-
-    def probe(psi: float, check_certificate: bool) -> BoundResult:
-        nonlocal all_converged, best
-        try:
-            res = solve_linx(inst, s, mask, math.exp(psi), opts)
-        except ArithmeticError as exc:
-            raise ArithmeticError(f"inner solve failed at psi={psi:.6g}: {exc}") from exc
-        all_converged = all_converged and res.converged
-        trace.append((psi, res.value))
-        if best is None or res.value < best.value:
-            best = res
-        if check_certificate and certify_gamma_optimal(res, opts.tol_binary):
-            best = res
-            raise _Certified
-        return res
 
     if regime.tag is RegimeTag.UNBOUNDED_BELOW:
-        for psi in (0.0, 7.0, 14.0):
-            probe(psi, check_certificate=False)
+        probes = [_probe(inst, s, mask, psi, opts) for psi in (0.0, 7.0, 14.0)]
         return GammaSearchResult(
             gamma_hat=math.inf,
             bound_value=NEG_INF,
-            psi_trace=tuple(trace),
+            psi_trace=tuple((psi, res.value) for psi, res in probes),
             regime=regime,
-            converged=all_converged,
+            converged=all(res.converged for _, res in probes),
         )
 
     if regime.tag is RegimeTag.LIMIT_AT_INFINITY:
@@ -229,43 +224,26 @@ def optimize_gamma(
         return GammaSearchResult(
             gamma_hat=math.inf,
             bound_value=lim.value,
-            psi_trace=tuple(trace),
+            psi_trace=(),
             regime=regime,
             converged=lim.converged,
         )
 
-    def slope(psi: float) -> float:
-        res = probe(psi, check_certificate=True)
-        return _LinxProblem(inst, mask, res.gamma, s).psi_slope(res.x_hat)
-
-    try:
-        for gamma0 in _candidate_gammas(eff, s):
-            probe(math.log(gamma0), check_certificate=True)
-
-        lo, hi = -2.0, 2.0
-        while slope(lo) >= 0.0:
-            lo *= 2.0
-            if lo < -PSI_LIMIT:
-                raise RuntimeError(f"bracket expansion ran away (psi={lo:.3g})")
-        while slope(hi) <= 0.0:
-            hi *= 2.0
-            if hi > PSI_LIMIT:
-                raise RuntimeError(f"bracket expansion ran away (psi={hi:.3g})")
-
-        while hi - lo > PSI_TOL:
-            mid = 0.5 * (lo + hi)
-            if slope(mid) > 0.0:
-                hi = mid
-            else:
-                lo = mid
-    except _Certified:
-        pass
-
+    probes = [_probe(inst, s, mask, math.log(g), opts) for g in _candidate_gammas(eff, s)]
+    saddle_converged = True
+    if not any(certify_gamma_optimal(res, opts.tol_binary) for _, res in probes):
+        # start from the scaling that is optimal for the diagonal of C o M,
+        # which makes the solve independent of the scale of C
+        psi0 = math.log(optimal_gamma_diagonal(np.sort(eff.d)[::-1], s))
+        problem = _LinxProblem(inst, mask, 1.0, s)
+        *_, saddle_converged, psi = _maximize_capped_simplex(problem, inst.n, s, opts, psi=psi0)
+        probes.append(_probe(inst, s, mask, psi, opts))
+    best = min((res for _, res in probes), key=lambda res: res.upper_bound)
     return GammaSearchResult(
         gamma_hat=best.gamma,
         bound_value=best.value,
-        psi_trace=tuple(trace),
+        psi_trace=tuple((psi, res.value) for psi, res in probes),
         regime=regime,
-        converged=all_converged,
+        converged=saddle_converged and all(res.converged for _, res in probes),
         best=best,
     )

@@ -134,6 +134,10 @@ class TestGammaCommand:
         assert report["value"] == pytest.approx(math.log(2.0), abs=1e-9)
         assert report["regime"] == "InteriorOptimum"
 
+    def test_iteration_cap_exits_2(self, gram8_file):
+        status, _ = _run(["gamma", "--input", gram8_file, "--s", "4", "--max-iter", "5"])
+        assert status == 2
+
     def test_limit_regime_marker(self, j2_file):
         status, text = _run(["gamma", "--input", j2_file, "--s", "1"])
         assert status == 0

@@ -15,6 +15,7 @@ from linxbound import (
     solve_diagonal_linx,
     validate,
 )
+from linxbound.gaps import DEFAULT_N_CAP
 
 HALF = math.sqrt(2.0) / 2.0
 UNSCALED_RATE = 0.25 * math.log(4.0 / 3.0)
@@ -118,6 +119,11 @@ class TestScaledExperiment:
         slope = np.polyfit([r.n for r in rows], [r.gap for r in rows], 1)[0]
         assert slope >= 0.024036 - 1e-3
 
+    def test_n128_row_converges_above_its_floor(self):
+        row = run_gap_experiment(GapKind.SCALED, [128])[0]
+        assert row.converged
+        assert row.gap >= row.theoretical_floor
+
     def test_cap_is_enforced(self):
         with pytest.raises(ValueError, match="cap"):
-            run_gap_experiment(GapKind.UNSCALED, [66])
+            run_gap_experiment(GapKind.UNSCALED, [DEFAULT_N_CAP + 2])

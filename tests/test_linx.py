@@ -276,6 +276,12 @@ class TestSolve:
         assert not res.converged
         assert res.iterations == 1
 
+    def test_upper_bound_is_value_plus_gap(self):
+        res = solve_linx(_instance(gram_matrix(np.random.default_rng(45), 6), 3), 3)
+        assert res.upper_bound == res.value + res.duality_gap
+        with pytest.raises(AttributeError):
+            res.upper_bound = 0.0
+
     def test_rejects_bad_gamma_and_s(self):
         inst = _instance(np.eye(3), 1)
         with pytest.raises(ValueError):

@@ -21,7 +21,13 @@ from linxbound import (
 from linxbound.linx import _LinxProblem
 from linxbound.scaling import _LimitProblem
 
-from helpers import correlation_matrix, gram_matrix, hessian_error, interior_point
+from helpers import (
+    correlation_matrix,
+    diagonal_entries,
+    gram_matrix,
+    hessian_error,
+    interior_point,
+)
 
 
 class TestClassifyRegime:
@@ -121,6 +127,39 @@ class TestOptimizeGamma:
             assert search.converged
             assert len(search.psi_trace) <= 26
 
+    def test_saddle_search_is_one_solve_at_the_optimum(self):
+        # one joint (x, psi) solve and one solve at its gamma replace the
+        # bisection's 24 probes; convexity in psi puts the neighbours of
+        # gamma-hat no lower than the reported bound
+        rng = np.random.default_rng(41)
+        for n in (8, 12, 16, 32):
+            inst = validate(SymMatrix.from_array(gram_matrix(rng, n)), n // 2)
+            search = optimize_gamma(inst, n // 2)
+            assert search.converged
+            assert len(search.psi_trace) <= 3
+            for step in (-0.01, 0.01):
+                near = solve_linx(inst, n // 2, gamma=search.gamma_hat * math.exp(step))
+                assert search.bound_value <= near.upper_bound
+
+    def test_iteration_cap_reports_unconverged(self):
+        inst = validate(SymMatrix.from_array(gram_matrix(np.random.default_rng(42), 12)), 6)
+        search = optimize_gamma(inst, 6, opts=SolverOptions(max_iter=5))
+        assert search.regime.tag is RegimeTag.INTERIOR_OPTIMUM
+        assert not search.converged
+
+    @pytest.mark.parametrize(
+        "entries,s",
+        [(np.diag([3.0, 1.5, 1.5, 1.5, 0.2]), 2), ([[1.0, 0.5], [0.5, 1.0]], 1)],
+    )
+    def test_best_has_the_least_certified_bound(self, entries, s):
+        # the closed-form candidate leaves a non-binary maximizer here, so
+        # the search solves again and keeps the least value + duality_gap
+        inst = validate(SymMatrix.from_array(entries), s)
+        search = optimize_gamma(inst, s)
+        assert len(search.psi_trace) == 2
+        for psi, _ in search.psi_trace:
+            assert search.best.upper_bound <= solve_linx(inst, s, gamma=math.exp(psi)).upper_bound
+
     def test_best_is_the_probe_at_gamma_hat(self):
         rng = np.random.default_rng(38)
         inst = validate(SymMatrix.from_array(gram_matrix(rng, 8)), 4)
@@ -171,6 +210,56 @@ class TestPsiSlope:
         assert np.array_equal(res.x_hat, [1.0, 0.0])
         slope = _LinxProblem(inst, Mask.ones(2), 3.0, 1).psi_slope(res.x_hat)
         assert abs(slope) <= 1e-12
+
+
+def _psi_derivative_error(problem, x, psi, h=1e-6):
+    """Relative error of the psi-derivatives of problem.derivatives(x, psi)
+    against central differences, scaled as in acceptance criterion 03:
+    f_psi and f_psipsi from differences in psi, f_xpsi from differences of
+    f_psi in each x_i."""
+    _, _, _, (f_psi, f_pp, f_xp) = problem.derivatives(x, psi)
+    up, down = problem.derivatives(x, psi + h), problem.derivatives(x, psi - h)
+    pairs = [(f_psi, (up[0] - down[0]) / (2.0 * h)), (f_pp, (up[3][0] - down[3][0]) / (2.0 * h))]
+    for i in range(x.shape[0]):
+        xp, xm = x.copy(), x.copy()
+        xp[i] += h
+        xm[i] -= h
+        fd = (problem.derivatives(xp, psi)[3][0] - problem.derivatives(xm, psi)[3][0]) / (2.0 * h)
+        pairs.append((f_xp[i], fd))
+    exact, fd = np.array(pairs).T
+    return float(np.max(np.abs(exact - fd)) / max(1.0, np.max(np.abs(fd))))
+
+
+class TestPsiDerivatives:
+    """The joint (x, psi) Newton step of the scaling search uses these; a
+    wrong one shows otherwise only as a slow or stalled search."""
+
+    def test_general_path_matches_differences(self):
+        rng = np.random.default_rng(43)
+        worst = 0.0
+        for k in range(12):
+            n = int(rng.integers(3, 9))
+            s = int(rng.integers(1, n))
+            inst = validate(SymMatrix.from_array(gram_matrix(rng, n)), s)
+            if k % 2:
+                mask = Mask.from_matrix(SymMatrix.from_array(correlation_matrix(rng, n)))
+            else:
+                mask = Mask.ones(n)
+            problem = _LinxProblem(inst, mask, 1.0, s)
+            psi = rng.uniform(-1.5, 1.5)
+            worst = max(worst, _psi_derivative_error(problem, interior_point(rng, n, s), psi))
+        assert worst <= 1e-5
+
+    def test_diagonal_path_matches_differences(self):
+        rng = np.random.default_rng(44)
+        for _ in range(6):
+            n = int(rng.integers(2, 9))
+            s = int(rng.integers(1, n))
+            inst = validate(SymMatrix.from_diagonal(diagonal_entries(rng, n)), s)
+            problem = _LinxProblem(inst, Mask.ones(n), 1.0, s)
+            assert problem.diagonal
+            psi = rng.uniform(-1.5, 1.5)
+            assert _psi_derivative_error(problem, interior_point(rng, n, s), psi) <= 1e-5
 
 
 class TestConcurrency:
