@@ -18,15 +18,15 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .exact import DEFAULT_ENUMERATION_CAP, exact_mesp
-from .gaps import GapKind, run_gap_experiment
+from .gaps import GapKind, GapReportRow, run_gap_experiment
 from .instance import Mask, load_matrix, validate
-from .linx import SolverOptions, solve_linx
+from .linx import DEFAULT_OPTIONS, SolverOptions, solve_linx
 from .scaling import RegimeTag, classify_regime, limit_linx_at_infinity, optimize_gamma
 
 EXIT_OK = 0
@@ -36,37 +36,12 @@ EXIT_REGIME_MISUSE = 3
 
 _LOG_DIVISORS = {"e": 1.0, "2": math.log(2.0), "10": math.log(10.0)}
 
-_ROW_FIELDS = (
-    "n",
-    "plain_bound",
-    "masked_bound",
-    "gap",
-    "theoretical_floor",
-    "gamma_plain",
-    "gamma_masked",
-    "converged",
-)
+_ROW_FIELDS = tuple(f.name for f in dataclasses.fields(GapReportRow))
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    s: int = 0
-    gamma: str = "1"                  # a float literal or "auto"
-    mask: str = "none"                # none | identity | file:<path>
-    output: str = "json"              # json | csv | plain
-    log_base: str = "e"
-    tol_fw: float | None = None
-    max_iter: int = 5000
-    kind: str = "unscaled"            # gap only
-    n_list: tuple[int, ...] = ()      # gap only
-    c1: float = 0.0
-    c2: float = 1.0
-    cap: int = DEFAULT_ENUMERATION_CAP
-
-
-def parse_args(argv) -> RunConfig:
+def parse_args(argv) -> argparse.Namespace:
+    """Parse the command line; the --n list of gap comes out as a tuple of
+    ints, and a list that does not parse raises ValueError."""
     parser = argparse.ArgumentParser(
         prog="linxbound",
         description="Entropy bounds for maximum-entropy subset selection.",
@@ -79,8 +54,10 @@ def parse_args(argv) -> RunConfig:
             p.add_argument("--s", required=True, type=int, help="subset size")
         p.add_argument("--output", choices=("json", "csv", "plain"), default="json")
         p.add_argument("--log-base", choices=("e", "2", "10"), default="e")
-        p.add_argument("--tol-fw", type=float, default=None, help="duality-gap target")
-        p.add_argument("--max-iter", type=int, default=5000, help="Newton steps per solve")
+        p.add_argument("--tol-fw", type=float, default=DEFAULT_OPTIONS.tol_fw,
+                       help="duality-gap target")
+        p.add_argument("--max-iter", type=int, default=DEFAULT_OPTIONS.max_iter,
+                       help="Newton steps per solve")
 
     p_bound = sub.add_parser("bound", help="evaluate the bound at a given gamma")
     add_common(p_bound)
@@ -106,31 +83,14 @@ def parse_args(argv) -> RunConfig:
     add_common(p_limit)
 
     ns = parser.parse_args(argv)
-    cfg = RunConfig(command=ns.command)
-    cfg.output = ns.output
-    cfg.log_base = ns.log_base
-    cfg.tol_fw = ns.tol_fw
-    cfg.max_iter = ns.max_iter
-    if ns.command != "gap":
-        cfg.input_path = ns.input
-        cfg.s = ns.s
-    if ns.command in ("bound", "gamma"):
-        cfg.mask = ns.mask
-    if ns.command == "bound":
-        cfg.gamma = ns.gamma
-    if ns.command == "exact":
-        cfg.cap = ns.cap
     if ns.command == "gap":
-        cfg.kind = ns.kind
         try:
-            cfg.n_list = tuple(int(part) for part in ns.n.split(",") if part.strip())
+            ns.n = tuple(int(part) for part in ns.n.split(",") if part.strip())
         except ValueError:
             raise ValueError(f"could not parse --n list {ns.n!r}") from None
-        if not cfg.n_list:
+        if not ns.n:
             raise ValueError("--n must list at least one order")
-        cfg.c1 = ns.c1
-        cfg.c2 = ns.c2
-    return cfg
+    return ns
 
 
 def _load_mask(spec: str, n: int) -> Mask:
@@ -211,8 +171,8 @@ def _render(report: dict, output: str) -> str:
     return "\n".join(lines)
 
 
-def run(config: RunConfig) -> tuple[int, str]:
-    """Execute a parsed configuration; returns (exit status, report text).
+def run(config: argparse.Namespace) -> tuple[int, str]:
+    """Execute parsed arguments; returns (exit status, report text).
 
     On failure the text is the error message rather than a report.
     """
@@ -226,11 +186,11 @@ def run(config: RunConfig) -> tuple[int, str]:
     return status, _render(report, config.output)
 
 
-def _dispatch(config: RunConfig) -> tuple[int, dict]:
+def _dispatch(config: argparse.Namespace) -> tuple[int, dict]:
     opts = SolverOptions(tol_fw=config.tol_fw, max_iter=config.max_iter)
     if config.command == "gap":
         kind = GapKind.UNSCALED if config.kind == "unscaled" else GapKind.SCALED
-        rows = run_gap_experiment(kind, config.n_list, config.c1, config.c2, opts)
+        rows = run_gap_experiment(kind, config.n, config.c1, config.c2, opts)
         status = EXIT_OK if all(r.converged for r in rows) else EXIT_NO_CONVERGENCE
         payload = [
             {k: _json_num(getattr(r, k)) if k.startswith("gamma") else getattr(r, k)
@@ -239,7 +199,7 @@ def _dispatch(config: RunConfig) -> tuple[int, dict]:
         ]
         return status, {"command": "gap", "rows": payload}
 
-    with open(config.input_path, "r", encoding="utf-8") as fh:
+    with open(config.input, "r", encoding="utf-8") as fh:
         matrix = load_matrix(fh)
     inst = validate(matrix, config.s)
     base = {"command": config.command, "n": inst.n, "s": config.s}

@@ -114,7 +114,6 @@ def run_gap_experiment(
     c1: float = 0.0,
     c2: float = 1.0,
     opts: SolverOptions = DEFAULT_OPTIONS,
-    n_cap: int = DEFAULT_N_CAP,
 ) -> list[GapReportRow]:
     """Measure plain-versus-masked bounds on the gap families, s = n/2.
 
@@ -122,12 +121,13 @@ def run_gap_experiment(
     gamma by search; the masked side is diagonal, where 1/d_s^2 is the
     exact optimal scaling and the scaled bound is tight (sum of the top
     s log-diagonals; identically 0 for the unit-diagonal family).
-    Rows are reported in increasing n.
+    Rows are reported in increasing n; an order above DEFAULT_N_CAP is
+    refused.
     """
     rows = []
     for n in sorted(int(n) for n in n_list):
-        if n > n_cap:
-            raise ValueError(f"n={n} exceeds the cap {n_cap}")
+        if n > DEFAULT_N_CAP:
+            raise ValueError(f"n={n} exceeds the cap {DEFAULT_N_CAP}")
         s = n // 2
         if kind is GapKind.UNSCALED:
             mat = build_maskgap_instance(n)

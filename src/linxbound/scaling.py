@@ -67,9 +67,11 @@ class GammaSearchResult:
     gamma_hat is math.inf for the two degenerate regimes.  psi_trace
     records every solve_linx call as (psi, value) pairs, in evaluation
     order: in the interior regime the closed-form candidates, then, unless
-    one certified, the solve at the saddle point's psi; in the s > rank
-    regime the three diagnostic probes.  converged reports whether every
-    one of those solves met its gap target and, when the saddle solve ran,
+    one certified, the solve at the saddle point's psi; it is empty in the
+    two degenerate regimes, where rank alone decides the answer (the limit
+    program runs in the s = rank regime; nothing runs in the s > rank
+    regime, whose bound is -inf).  converged reports whether every one of
+    those solves met its gap target and, when the saddle solve ran,
     whether it met both its gap and slope targets.  best is the solve at
     gamma_hat, the one of least certified bound (value + duality_gap), and
     None in the two degenerate regimes.
@@ -210,13 +212,12 @@ def optimize_gamma(
     regime = classify_regime(eff, s)
 
     if regime.tag is RegimeTag.UNBOUNDED_BELOW:
-        probes = [_probe(inst, s, mask, psi, opts) for psi in (0.0, 7.0, 14.0)]
         return GammaSearchResult(
             gamma_hat=math.inf,
             bound_value=NEG_INF,
-            psi_trace=tuple((psi, res.value) for psi, res in probes),
+            psi_trace=(),
             regime=regime,
-            converged=all(res.converged for _, res in probes),
+            converged=True,
         )
 
     if regime.tag is RegimeTag.LIMIT_AT_INFINITY:
@@ -231,7 +232,7 @@ def optimize_gamma(
 
     probes = [_probe(inst, s, mask, math.log(g), opts) for g in _candidate_gammas(eff, s)]
     saddle_converged = True
-    if not any(certify_gamma_optimal(res, opts.tol_binary) for _, res in probes):
+    if not any(certify_gamma_optimal(res) for _, res in probes):
         # start from the scaling that is optimal for the diagonal of C o M,
         # which makes the solve independent of the scale of C
         psi0 = math.log(optimal_gamma_diagonal(np.sort(eff.d)[::-1], s))

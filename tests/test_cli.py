@@ -32,6 +32,14 @@ def gram8_file(tmp_path):
 
 
 @pytest.fixture
+def rank5_file(tmp_path):
+    m = gram_matrix(np.random.default_rng(3), 12, 5)
+    path = tmp_path / "rank5.txt"
+    path.write_text("12\n" + "\n".join(" ".join(repr(float(v)) for v in row) for row in m) + "\n")
+    return str(path)
+
+
+@pytest.fixture
 def diag_file(tmp_path):
     path = tmp_path / "diag.txt"
     path.write_text(DIAG)
@@ -145,6 +153,14 @@ class TestGammaCommand:
         assert report["gamma"] == "inf"
         assert report["regime"] == "LimitAtInfinity"
         assert report["value"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_unbounded_regime_golden(self, capsys, rank5_file):
+        # s = 7 > rank 5: no float but -Infinity, so the text is pinned whole
+        assert main(["gamma", "--input", rank5_file, "--s", "7"]) == 0
+        assert capsys.readouterr().out == (
+            '{"command": "gamma", "n": 12, "s": 7, "gamma": "inf", "mask": "J", '
+            '"value": -Infinity, "regime": "UnboundedBelow"}\n'
+        )
 
 
 class TestExactCommand:

@@ -18,6 +18,7 @@ from linxbound import (
     validate,
 )
 
+from linxbound import scaling
 from linxbound.linx import _LinxProblem
 from linxbound.scaling import _LimitProblem
 
@@ -77,8 +78,7 @@ class TestOptimizeGamma:
         assert search.regime.tag is RegimeTag.UNBOUNDED_BELOW
         assert search.gamma_hat == math.inf
         assert search.bound_value == float("-inf")
-        vals = [v for _, v in search.psi_trace]
-        assert vals == sorted(vals, reverse=True)  # sinking along the probe grid
+        assert search.psi_trace == ()
 
     def test_unbounded_regime_probes_converge(self):
         # s > rank: the psi = 14 diagnostic probe used to stall unconverged
@@ -87,6 +87,16 @@ class TestOptimizeGamma:
         assert search.regime.tag is RegimeTag.UNBOUNDED_BELOW
         assert search.bound_value == float("-inf")
         assert search.converged
+
+    def test_unbounded_regime_runs_no_solve(self, monkeypatch):
+        # rank alone decides the s > rank regime, so no solve is spent on it
+        calls = []
+        real = scaling.solve_linx
+        monkeypatch.setattr(scaling, "solve_linx", lambda *a, **k: calls.append(a) or real(*a, **k))
+        inst = validate(SymMatrix.from_array(gram_matrix(np.random.default_rng(3), 12, 5)), 7)
+        search = optimize_gamma(inst, 7)
+        assert search.regime.tag is RegimeTag.UNBOUNDED_BELOW
+        assert len(calls) == 0
 
     def test_interior_search_on_identity(self):
         # flat spectrum: the optimum sits at gamma = 1 with value 0
@@ -198,7 +208,8 @@ class TestPsiSlope:
                 mask = Mask.ones(n)
             for psi in (-1.0, 0.0, 1.5):
                 res = solve_linx(inst, s, mask, math.exp(psi), tight)
-                slope = _LinxProblem(inst, mask, res.gamma, s).psi_slope(res.x_hat)
+                problem = _LinxProblem(inst, mask, res.gamma, s)
+                slope = problem.derivatives(res.x_hat, math.log(res.gamma))[3][0]
                 up = solve_linx(inst, s, mask, math.exp(psi + h), tight).value
                 down = solve_linx(inst, s, mask, math.exp(psi - h), tight).value
                 fd = (up - down) / (2.0 * h)
@@ -208,7 +219,8 @@ class TestPsiSlope:
         inst = validate(SymMatrix.from_array([[2.0, 1.0], [1.0, 1.0]]), 1)
         res = solve_linx(inst, 1, gamma=3.0)
         assert np.array_equal(res.x_hat, [1.0, 0.0])
-        slope = _LinxProblem(inst, Mask.ones(2), 3.0, 1).psi_slope(res.x_hat)
+        problem = _LinxProblem(inst, Mask.ones(2), 3.0, 1)
+        slope = problem.derivatives(res.x_hat, math.log(3.0))[3][0]
         assert abs(slope) <= 1e-12
 
 
