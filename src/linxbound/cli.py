@@ -223,7 +223,7 @@ def _dispatch(config: argparse.Namespace) -> tuple[int, dict]:
             **base,
             "gamma": "inf",
             "value": res.value,
-            "x_hat": list(res.x_hat),
+            "x_hat": res.x_hat.tolist(),
             "duality_gap": res.duality_gap,
             "regime": regime.tag.value,
         }
@@ -242,7 +242,7 @@ def _dispatch(config: argparse.Namespace) -> tuple[int, dict]:
             "regime": search.regime.tag.value,
         }
         if config.command == "bound" and search.best is not None:
-            report["x_hat"] = list(search.best.x_hat)
+            report["x_hat"] = search.best.x_hat.tolist()
             report["duality_gap"] = search.best.duality_gap
         return status, report
 
@@ -253,7 +253,7 @@ def _dispatch(config: argparse.Namespace) -> tuple[int, dict]:
         "gamma": res.gamma,
         "mask": mask.label,
         "value": res.value,
-        "x_hat": list(res.x_hat),
+        "x_hat": res.x_hat.tolist(),
         "duality_gap": res.duality_gap,
     }
 

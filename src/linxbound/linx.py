@@ -134,7 +134,7 @@ def _cholesky(mat):
 
 
 def _logdet(chol) -> float:
-    return 2.0 * float(np.sum(np.log(np.diagonal(chol))))
+    return 2.0 * float(np.log(chol.diagonal()).sum())
 
 
 def _cho_inverse(chol):
@@ -177,8 +177,8 @@ class _LinxProblem:
         self.gamma = float(gamma)
         self.s = s
         self.shift = s * math.log(self.gamma)
-        self.diagonal = not np.any(A - np.diag(np.diagonal(A)))
-        self.asq = np.diagonal(A) ** 2  # diagonal path only
+        self.diagonal = not np.any(A - np.diag(A.diagonal()))
+        self.asq = A.diagonal() ** 2  # diagonal path only
         self.coef = self.gamma * self.asq - 1.0
 
     def derivatives(self, x, psi=None):
@@ -198,7 +198,7 @@ class _LinxProblem:
             if not np.all(fac > 0.0):
                 return NEG_INF, None, None
             r = coef / fac
-            val = 0.5 * (float(np.sum(np.log(fac))) - shift)
+            val = 0.5 * (float(np.log(fac).sum()) - shift)
             out = (val, 0.5 * r, np.diag(-0.5 * r * r))
             if psi is None:
                 return out
@@ -214,14 +214,14 @@ class _LinxProblem:
         W = _cho_inverse(chol)
         P = self.A @ W
         K = P @ self.A
-        WW, PP = W * W, P * P
-        grad = 0.5 * (gam * np.diagonal(K) - np.diagonal(W))
+        WW, PP, wdiag = W * W, P * P, W.diagonal()
+        grad = 0.5 * (gam * K.diagonal() - wdiag)
         hess = -0.5 * (gam * gam * (K * K) - gam * (PP + PP.T) + WW)
         out = (0.5 * (_logdet(chol) - shift), grad, hess)
         if psi is None:
             return out
         d = 1.0 - x
-        return out + (self._psi_terms(d, np.diagonal(W), WW @ d, PP @ d, gam),)
+        return out + (self._psi_terms(d, wdiag, WW @ d, PP @ d, gam),)
 
     def _psi_terms(self, d, wdiag, wwd, ppd, gam):
         """(f_psi, f_psipsi, f_xpsi) from d = e - x, diag(W), (W o W) d
@@ -274,11 +274,22 @@ def _kkt_step(grad, H, border=None):
     dpsi: at fixed x the bound is a sum of terms log(1 + e^psi k_i), whose
     third derivative in psi is bounded by their second but not by its
     power 3/2, so a long step can be short in the Hessian norm.
+
+    The system is solved by LAPACK dgesv (LU with partial pivoting).  Its
+    info > 0 means an exactly zero pivot, i.e. H is singular; that raises
+    np.linalg.LinAlgError.
     """
-    # H dx + h_xpsi dpsi + nu e = -grad with e.dx = 0, from one solve with
-    # two right-hand sides, or three when psi is carried
-    rhs = (grad, np.ones_like(grad)) if border is None else (grad, np.ones_like(grad), border[2])
-    a, b, *c = np.linalg.solve(H, np.column_stack(rhs)).T
+    # H dx + h_xpsi dpsi + nu e = -grad with e.dx = 0, from one LU solve
+    # with two right-hand sides, or three when psi is carried
+    rhs = np.empty((grad.shape[0], 2 if border is None else 3), order="F")
+    rhs[:, 0] = grad
+    rhs[:, 1] = 1.0
+    if border is not None:
+        rhs[:, 2] = border[2]
+    _, _, sol, info = sla.lapack.dgesv(H, rhs, overwrite_b=True)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"KKT matrix is singular (U[{info - 1}, {info - 1}] = 0)")
+    a, b, *c = sol.T
     dx = (a.sum() / b.sum()) * b - a
     if border is None:
         return dx, 0.0, math.sqrt(max(-float(grad @ dx), 0.0)), 0.0
@@ -359,7 +370,7 @@ def _face_newton(evaluate, x, psi, s: int, t: float, tol: float, budget: int):
             f_psi, f_pp, f_xp = mixed[0]
             border = (-2.0 * f_psi, -2.0 * f_pp, -2.0 * f_xp[free])
         try:
-            dy, dpsi, lam, mu = _kkt_step(-2.0 * g[free], -2.0 * hess[np.ix_(free, free)], border)
+            dy, dpsi, lam, mu = _kkt_step(-2.0 * g[free], -2.0 * hess[free][:, free], border)
         except np.linalg.LinAlgError:
             break
         damp = 1.0 + max(lam, mu) if max(lam, mu) >= _CENTRED else 1.0

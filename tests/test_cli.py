@@ -193,6 +193,29 @@ class TestLimitCommand:
         assert json.loads(text)["regime"] == "InteriorOptimum"
 
 
+class TestCsvOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--input", "{gram8}", "--s", "4", "--gamma", "1"],
+            ["bound", "--input", "{gram8}", "--s", "4", "--gamma", "auto"],
+            ["limit", "--input", "{j2}", "--s", "1"],
+            ["limit", "--input", "{rank5}", "--s", "5"],
+        ],
+    )
+    def test_x_hat_is_plain_floats(self, argv, gram8_file, j2_file, rank5_file):
+        files = {"gram8": gram8_file, "j2": j2_file, "rank5": rank5_file}
+        argv = [a.format(**files) for a in argv]
+        status, text = _run(argv)
+        assert status == 0
+        expected = json.loads(text)["x_hat"]
+        status, text = _run(argv + ["--output", "csv"])
+        assert status == 0
+        header, row = text.splitlines()
+        field = row.split(",")[header.split(",").index("x_hat")]
+        assert [float(v) for v in field.split(";")] == expected
+
+
 class TestGapCommand:
     def test_json_rows(self):
         status, text = _run(["gap", "--kind", "unscaled", "--n", "2,4"])

@@ -1,5 +1,6 @@
 """Brute-force oracle: submatrix log-determinants and subset enumeration."""
 
+import itertools
 import math
 
 import numpy as np
@@ -88,3 +89,72 @@ def test_masking_never_decreases_exact_value():
         plain = exact_mesp(validate(SymMatrix.from_array(c), s), s)
         masked = exact_mesp(validate(SymMatrix.from_array(c * m), s), s)
         assert masked.value >= plain.value - 1e-12
+
+
+def _enumerate(inst, s):
+    """Reference: one logdet_submatrix call per subset, in lexicographic
+    order, keeping only strict improvements.  Returns every value too."""
+    values = {}
+    best_val, best = NEG_INF, None
+    for combo in itertools.combinations(range(inst.n), s):
+        values[combo] = val = logdet_submatrix(inst.C, combo)
+        if best is None or val > best_val:
+            best_val, best = val, combo
+    return best_val, best, values
+
+
+def _assert_matches_enumeration(c, s):
+    inst = validate(SymMatrix.from_array(c), s)
+    res = exact_mesp(inst, s)
+    best_val, best, values = _enumerate(inst, s)
+    assert res.value == best_val  # bit for bit, not approximately
+    assert res.best_subset == best
+    return values
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_enumeration_matches_subset_loop(seed):
+    rng = np.random.default_rng(100 + seed)
+    n = int(rng.integers(4, 11))
+    for s in range(1, n):
+        _assert_matches_enumeration(gram_matrix(rng, n), s)
+
+
+def test_batched_enumeration_with_singular_subsets():
+    # integer rank-5 Gram matrix with row 7 repeating row 0: every subset
+    # holding both is exactly singular, so the single stacked Cholesky
+    # over all C(8, 3) = 56 subsets fails and the chunk is evaluated subset
+    # by subset
+    rng = np.random.default_rng(7)
+    g = rng.integers(-3, 4, size=(8, 5)).astype(float)
+    g[7] = g[0]
+    c = g @ g.T
+    values = _assert_matches_enumeration(c, 3)
+    singular = [k for k, v in values.items() if v == NEG_INF]
+    assert singular and len(singular) < len(values)
+    assert all(0 in k and 7 in k for k in singular)
+
+
+def test_batched_enumeration_spans_several_chunks():
+    # C(15, 7) = 6,435 subsets, more than one stacked call holds; shrinking
+    # rows 0 and 1 puts the maximum among the last 1,716 subsets, which
+    # hold neither
+    scale = np.r_[0.1, 0.1, np.ones(13)]
+    c = gram_matrix(np.random.default_rng(15), 15) * np.outer(scale, scale)
+    _assert_matches_enumeration(c, 7)
+    assert exact_mesp(validate(SymMatrix.from_array(c), 7), 7).best_subset[0] >= 2
+
+
+def test_batched_enumeration_breaks_ties_lexicographically():
+    # rounded entries that depend only on a class of each index: subsets
+    # whose sorted indices run through the same classes have the same
+    # submatrix entry for entry, hence the same value bit for bit, and the
+    # first maximum in lexicographic order must win
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        classes = rng.integers(0, 3, size=10)
+        base = np.round(4.0 * gram_matrix(rng, 3)) + 3.0 * np.eye(3)
+        c = base[np.ix_(classes, classes)] + 3.0 * np.eye(10)
+        values = _assert_matches_enumeration(c, 4)
+        top = max(values.values())
+        assert sum(v == top for v in values.values()) >= 2

@@ -20,7 +20,7 @@ from linxbound import (
     validate,
 )
 
-from linxbound.linx import _LinxProblem
+from linxbound.linx import _kkt_step, _LinxProblem
 
 from helpers import (
     correlation_matrix,
@@ -303,6 +303,39 @@ class TestLargeInstances:
         res = solve_linx(inst, 64)
         assert res.converged
         assert is_feasible(res.x_hat, 64)
+
+
+class TestKktStep:
+    def test_solves_the_bordered_system(self):
+        rng = np.random.default_rng(8)
+        n = 7
+        b = rng.normal(size=(n, n))
+        H = b @ b.T + np.eye(n)
+        grad = rng.normal(size=n)
+        dx, dpsi, lam, mu = _kkt_step(grad, H)
+        assert abs(dx.sum()) <= 1e-12
+        residual = H @ dx + grad  # a multiple of e
+        assert np.ptp(residual) <= 1e-12 * np.abs(residual).max()
+        assert lam == pytest.approx(math.sqrt(dx @ H @ dx), rel=1e-12)
+        assert dpsi == mu == 0.0
+
+        g_psi, h_pp, h_xp = 0.3, -2.5, rng.normal(size=n)
+        dx, dpsi, _, mu = _kkt_step(grad, H, (g_psi, h_pp, h_xp))
+        full = np.zeros((n + 2, n + 2))
+        full[:n, :n], full[:n, n], full[n, :n], full[n, n] = H, h_xp, h_xp, h_pp
+        full[:n, n + 1] = full[n + 1, :n] = 1.0
+        ref = np.linalg.solve(full, -np.r_[grad, g_psi, 0.0])
+        assert np.allclose(dx, ref[:n], rtol=0.0, atol=1e-12)
+        assert dpsi == pytest.approx(ref[n], abs=1e-12)
+        assert mu == pytest.approx(abs(dpsi) * math.sqrt(2.5), rel=1e-12)
+
+    @pytest.mark.parametrize("carried", [False, True])
+    def test_singular_matrix_raises(self, carried):
+        # rank one, so elimination leaves an exactly zero pivot
+        grad = np.array([1.0, -2.0, 0.5, 0.5])
+        border = (0.1, -1.0, np.ones(4)) if carried else None
+        with pytest.raises(np.linalg.LinAlgError):
+            _kkt_step(grad, np.ones((4, 4)), border)
 
 
 class TestFaceFinish:
