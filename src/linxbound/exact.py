@@ -68,6 +68,10 @@ def exact_mesp(inst: Instance, s: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Ex
     lexicographically smallest subset.  A chunk whose stacked Cholesky
     fails holds a singular subset; it is evaluated one subset at a time
     by logdet_submatrix, which gives such a subset -inf.
+
+    When s exceeds inst.rank every s-subset is singular, so the result is
+    -inf at (0, ..., s - 1) without enumeration; factoring would let
+    rounding pass some singular submatrices with tiny pivots.
     """
     n = inst.n
     if n > cap:
@@ -75,6 +79,8 @@ def exact_mesp(inst: Instance, s: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Ex
     s = int(s)
     if not 0 < s < n:
         raise ValueError(f"need 0 < s < n, got s={s}, n={n}")
+    if s > inst.rank:
+        return ExactResult(value=NEG_INF, best_subset=tuple(range(s)))
     k = math.comb(n, s)
     subsets = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(n), s)),

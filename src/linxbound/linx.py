@@ -18,11 +18,16 @@ The maximizer is found by a log-barrier method.  F is affine in x, so
 on the hyperplane e.x = s.  Damped Newton steps x <- x + dx / (1 + lam),
 with lam the Newton decrement, stay inside the box without any line
 search; once an iterate is centred (lam < 1/4) the weight t grows by a
-fixed factor.  Before t grows, coordinates within min(1/4, 1/sqrt(t)) of
-a bound are fixed at it and a few equality-constrained Newton steps on f
-alone run over the rest; a point of that face which meets the tolerance
-ends the solve, so coordinates that belong at 0 or 1 come out exactly
-there.  Convergence is certified independently of the method by the
+fixed factor.  Before t grows, every centred iterate after the first
+predicts the face of the optimum from its ratio to the previous one (a
+Tapia indicator: a coordinate headed for a bound shrinks its distance to
+it about as fast as t grows, an interior one keeps its value), fixes
+those coordinates at their bounds, and runs a few equality-constrained
+Newton steps on f alone over the rest, or over the whole polytope when
+nothing is fixed.  A point of that face which meets the tolerance ends
+the solve, so coordinates that belong at 0 or 1 come out exactly there,
+and an interior optimum is reached without driving t to 1/tol.
+Convergence is certified independently of the method by the
 standard linearization gap max_v grad(x) . (v - x) over the vertices v of
 P(n, s), which upper-bounds the suboptimality of x.
 
@@ -48,8 +53,9 @@ NEG_INF = float("-inf")
 
 _CENTRED = 0.25      # Newton decrement below which an iterate counts as centred
 _T_GROWTH = 8.0      # barrier weight factor per centred iterate
-_FACE_RADIUS = 0.25  # largest distance to a bound at which a coordinate is fixed
+_RATIO = 0.4         # drop in distance to a bound between centred iterates that fixes x_i
 _FACE_STEPS = 4      # Newton steps allowed on a predicted face
+_TIE = 1e-9          # relative slack within which coordinates meet a bound in one ratio test
 _PSI_RUNAWAY = 60.0  # distance from its start at which a carried psi has run away
 
 SLOPE_TOL = 1e-7     # target for |f_psi| when psi is carried
@@ -329,40 +335,53 @@ def _reproject(x, s: int):
     return x + (s - float(x.sum())) / float(w.sum()) * w
 
 
-def _face_newton(evaluate, x, psi, s: int, t: float, tol: float, budget: int):
+def _face_newton(evaluate, x, prev, point, psi, s: int, tol: float, budget: int):
     """Newton on f over the face of P(n, s) that x approaches.
 
-    Coordinates within min(_FACE_RADIUS, 1/sqrt(t)) of a bound are fixed
-    at it; the rest are re-projected onto e.y = s and take up to
-    _FACE_STEPS equality-constrained Newton steps of -2 f, which is
-    self-concordant, jointly with psi when it is carried, damped by
-    1/(1 + max(lam, mu)) while that maximum is at least _CENTRED.  The
-    projected point and each step cost one evaluate(y, psi) call, at most
-    budget in all.  Returns (calls, (y, psi, point)) for the first point
-    that meets the targets, and (calls, None) when the face has no
-    interior, F(y) is not positive definite, the free block is singular,
-    a free coordinate leaves (0, 1) or the steps run out.
+    The face comes from Tapia indicators, the ratios of x to the previous
+    centred iterate prev: along the central path a coordinate headed for
+    0 shrinks about _T_GROWTH-fold per growth of t, while an interior one
+    keeps its value.  So x_i is fixed at 0 when x_i < 1/2 and x_i <
+    _RATIO * prev_i, and at 1 likewise in 1 - x.  The rest are re-projected
+    onto e.y = s and take up to _FACE_STEPS equality-constrained Newton
+    steps of -2 f, which is self-concordant, jointly with psi when it is
+    carried, damped by 1/(1 + max(lam, mu)) while that maximum is at least
+    _CENTRED.  With nothing fixed the face is the whole polytope: y starts
+    at x, whose evaluated point is reused, and the try ends at the first
+    step that would need damping.  A step that would take a free
+    coordinate out of (0, 1) is cut at the boundary by a ratio test, once
+    per try, and every coordinate that lands there is fixed.
+
+    The projected point (none when nothing is fixed) and each step cost
+    one evaluate(y, psi) call, at most budget in all.  Returns (calls,
+    (y, psi, point)) for the first point that meets the targets, and
+    (calls, None) when the face has no interior, F(y) is not positive
+    definite, the free block is singular, a second step needs the ratio
+    test or the steps run out.
     """
-    theta = min(_FACE_RADIUS, 1.0 / math.sqrt(t))
-    low, high = x < theta, x > 1.0 - theta
+    low = (x < 0.5) & (x < _RATIO * prev)
+    high = (x > 0.5) & (1.0 - x < _RATIO * (1.0 - prev))
     free = ~(low | high)
-    k, m = int(free.sum()), s - int(high.sum())
-    if k == x.shape[0] or not (0 < m < k or m == k == 0):
-        return 0, None
+    whole = bool(free.all())
     y = np.where(high, 1.0, np.where(low, 0.0, x))
-    calls = 0
+    calls = steps = 0
+    cut = False
     while calls < budget:
-        if k:
-            y = _reproject(y, s)
-            if not (y[free].min() > 0.0 and y[free].max() < 1.0):
-                break  # also catches a step that is not finite
-        calls += 1
-        point = evaluate(y, psi)
-        if not np.isfinite(point[0]):
+        k, m = int(free.sum()), s - int(y[~free].sum())
+        if not (0 < m < k or m == k == 0):
             break
-        if _met(point, y, s, tol):
-            return calls, (y, psi, point)
-        if k == 0 or calls > _FACE_STEPS:
+        if steps or not whole:
+            if k:
+                y = _reproject(y, s)
+                if not (y[free].min() > 0.0 and y[free].max() < 1.0):
+                    break  # also catches a step that is not finite
+            calls += 1
+            point = evaluate(y, psi)
+            if not np.isfinite(point[0]):
+                break
+            if _met(point, y, s, tol):
+                return calls, (y, psi, point)
+        if k == 0 or steps == _FACE_STEPS:
             break
         _, g, hess, *mixed = point
         border = None
@@ -373,10 +392,34 @@ def _face_newton(evaluate, x, psi, s: int, t: float, tol: float, budget: int):
             dy, dpsi, lam, mu = _kkt_step(-2.0 * g[free], -2.0 * hess[free][:, free], border)
         except np.linalg.LinAlgError:
             break
-        damp = 1.0 + max(lam, mu) if max(lam, mu) >= _CENTRED else 1.0
-        y[free] += dy / damp
+        dec = max(lam, mu)
+        if dec >= _CENTRED and whole:
+            break
+        damp = 1.0 + dec if dec >= _CENTRED else 1.0
+        step = dy / damp
+        yf = y[free] + step
+        if yf.min() > 0.0 and yf.max() < 1.0:
+            y[free] = yf
+        elif cut:
+            break
+        else:
+            # ratio test: stop where the first free coordinate meets its
+            # bound, and fix every coordinate that meets one there
+            cut = True
+            yf = y[free]
+            with np.errstate(divide="ignore"):
+                reach = np.where(step < 0.0, yf, 1.0 - yf) / np.abs(step)
+            alpha = float(reach.min())
+            hit = reach <= alpha * (1.0 + _TIE)
+            step *= alpha
+            dpsi *= alpha
+            yf += step
+            yf[hit] = step[hit] > 0.0
+            y[free] = yf
+            free[free] = ~hit
         if psi is not None:
             psi += dpsi / damp
+        steps += 1
     return calls, None
 
 
@@ -384,9 +427,10 @@ def _maximize_capped_simplex(problem, n: int, s: int, opts: SolverOptions, psi=N
     """Barrier-method core shared by the bound solvers.
 
     problem.derivatives(x) returns the value, gradient and Hessian of the
-    concave objective.  Each centred iterate first tries _face_newton on
-    the face it approaches and returns that face's point when it meets
-    the tolerance; otherwise t grows and the barrier goes on from x.
+    concave objective.  Each centred iterate but the first tries
+    _face_newton on the face that its ratio to the previous centred
+    iterate predicts, and returns that face's point when it meets the
+    tolerance; otherwise t grows and the barrier goes on from x.
     Stops when the linearization gap meets the tolerance, when max_iter
     derivatives calls are spent, or when rounding pushes a step out of
     the open box.
@@ -408,7 +452,7 @@ def _maximize_capped_simplex(problem, n: int, s: int, opts: SolverOptions, psi=N
     def evaluate(y, p):
         return problem.derivatives(y) if p is None else problem.derivatives(y, p)
 
-    x, psi0 = np.full(n, s / n), psi
+    x, psi0, prev = np.full(n, s / n), psi, None
     point = evaluate(x, psi)
     if not np.isfinite(point[0]):
         raise ArithmeticError("objective is undefined at the uniform start point")
@@ -421,11 +465,14 @@ def _maximize_capped_simplex(problem, n: int, s: int, opts: SolverOptions, psi=N
             break
         dx, dpsi, lam, mu = _newton_step(x, point, t)
         if max(lam, mu) < _CENTRED:
-            calls, face = _face_newton(evaluate, x, psi, s, t, tol, opts.max_iter - iters)
-            iters += calls
-            if face is not None:
-                x, psi, point = face
-                break
+            if prev is not None:
+                budget = opts.max_iter - iters
+                calls, face = _face_newton(evaluate, x, prev, point, psi, s, tol, budget)
+                iters += calls
+                if face is not None:
+                    x, psi, point = face
+                    break
+            prev = x
             t *= _T_GROWTH
             dx, dpsi, lam, mu = _newton_step(x, point, t)
         damp = 1.0 + max(lam, mu)

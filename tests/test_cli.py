@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from linxbound import Mask, SymMatrix, solve_linx, validate
-from linxbound.cli import main, parse_args, run
+from linxbound.cli import _parser, main, parse_args, run
 
 from helpers import gram_matrix
 
@@ -301,3 +301,16 @@ def test_main_prints_report(capsys, j2_file):
     assert main(["bound", "--input", j2_file, "--s", "1", "--output", "plain"]) == 0
     out = capsys.readouterr().out
     assert "value" in out
+
+
+def test_parser_is_built_once_and_keeps_no_state():
+    assert _parser() is _parser()
+    gap = parse_args(["gap", "--n", "4,6", "--kind", "scaled", "--output", "csv"])
+    bound = parse_args(["bound", "--input", "m.txt", "--s", "2", "--gamma", "auto"])
+    again = parse_args(["gap", "--n", "8"])
+    bound_default = parse_args(["bound", "--input", "m.txt", "--s", "3"])
+    assert (gap.n, gap.kind, gap.output) == ((4, 6), "scaled", "csv")
+    assert (again.n, again.kind, again.output) == ((8,), "unscaled", "json")
+    assert (bound.command, bound.s, bound.gamma, bound.mask) == ("bound", 2, "auto", "none")
+    assert (bound_default.s, bound_default.gamma) == (3, "1")
+    assert not hasattr(bound, "kind") and not hasattr(gap, "gamma")

@@ -58,6 +58,17 @@ def test_exact_all_singular_subsets():
     assert res.best_subset == (0, 1)
 
 
+def test_exact_above_rank_is_minus_inf():
+    # rank 5, s = 8: rounding lets 51 of the 12,870 singular submatrices
+    # through Cholesky, and the best of them has slogdet sign -1
+    g = np.random.default_rng(1).normal(size=(16, 5))
+    inst = validate(SymMatrix.from_array(g @ g.T), 8)
+    assert inst.rank == 5
+    res = exact_mesp(inst, 8)
+    assert res.value == NEG_INF
+    assert res.best_subset == tuple(range(8))
+
+
 def test_exact_enumeration_cap():
     inst = validate(SymMatrix.identity(25), 2)
     with pytest.raises(ValueError, match="cap"):

@@ -303,6 +303,9 @@ class TestLargeInstances:
         res = solve_linx(inst, 64)
         assert res.converged
         assert is_feasible(res.x_hat, 64)
+        # the optimum has no coordinate at a bound; a face finish that fixed
+        # only coordinates near one climbed t to about 1e9 in 31 steps
+        assert res.iterations <= 24
 
 
 class TestKktStep:
@@ -375,6 +378,20 @@ class TestFaceFinish:
                 near = np.minimum(x, 1.0 - x) <= 1e-6
                 assert np.all((x[near] == 0.0) | (x[near] == 1.0))
         assert np.mean(iterations) <= 30
+
+    def test_tied_pairs_land_together(self):
+        # tied diagonal entries give tied coordinates, which the face
+        # finish's ratio test sends to a bound in the same step; fixing one
+        # of a pair and leaving the other free at 0 divided by zero in
+        # _reproject
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            n = int(rng.integers(4, 26))
+            s = int(rng.integers(1, n))
+            d = np.repeat(np.exp(rng.uniform(-0.5, 0.5, size=(n + 1) // 2)), 2)[:n]
+            inst = _instance(np.diag(d), s)
+            for gamma in (0.3, 1.0, 5.0):
+                assert solve_linx(inst, s, gamma=gamma).converged, (n, s, gamma)
 
     @pytest.mark.parametrize("d, s", [([1.0, 1.0, 0.5], 1), ([2.0, 1.0, 1.0, 0.5], 2)])
     def test_flat_coordinates_match_closed_form(self, d, s):
