@@ -11,7 +11,6 @@ from .diagonal import (
     DiagonalSolution,
     check_uniform_optimality,
     eigenvalue_lower_bound,
-    gap_lower_bound_2x2,
     optimal_gamma_2x2,
     optimal_gamma_diagonal,
     optimal_mask_2x2,
@@ -24,6 +23,7 @@ from .gaps import (
     GapReportRow,
     build_maskgap_instance,
     build_scaledgap_instance,
+    gap_lower_bound_2x2,
     run_gap_experiment,
     scaled_gap_floor,
 )

@@ -128,7 +128,8 @@ def _scale_values(report: dict, base: str) -> dict:
         return report
     out = dict(report)
     for key in ("value", "duality_gap"):
-        if key in out:
+        # the limit command's regime report carries a string value
+        if isinstance(out.get(key), float):
             out[key] = out[key] / div
     if "rows" in out:
         out["rows"] = [

@@ -1,5 +1,8 @@
 """Closed-form bound machinery for diagonal matrices, plus 2x2 formulas.
 
+linx.solve_linx answers every diagonal C o M with solve_diagonal_linx;
+this module imports nothing from linx.
+
 For C = Diag(d) the relaxation objective separates per coordinate:
 
     f(x) = 0.5 * sum_i log( (d_i^2 - 1) x_i + 1 ),
@@ -20,8 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .instance import Instance, Mask, SymMatrix, _freeze, validate
-from .linx import NEG_INF, solve_linx
+from .instance import Instance, _freeze
 
 UNIT_SNAP = 1e-12   # |d_i - 1| below this counts as exactly 1
 PIVOT_TOL = 1e-14   # bisection interval width for the pivot equation
@@ -279,30 +281,3 @@ def eigenvalue_lower_bound(inst: Instance, s: int) -> float:
     p = s / inst.n
     w = inst.eigvals
     return 0.5 * float(np.sum(np.log(p * w * w + 1.0 - p)))
-
-
-def gap_lower_bound_2x2(a: float, b: float, c: float) -> float:
-    """Guaranteed improvement of the optimally masked 2x2 bound, s = 1.
-
-    Combines the uniform-point lower bound on the unmasked side (written
-    through the eigenvalue identities lam1 + lam2 = a + b and
-    lam1 lam2 = ab - c^2) with the achieved masked value:
-
-        0.5 * log( ((c^2 + 1 - ab)^2 + (a + b)^2) / (4 g) ),
-        g = exp(2 * masked bound at the optimal mask).
-    """
-    a, b, c = _check_2x2_psd(a, b, c)
-    if b <= 0.0:
-        raise ValueError("diagonal entries must be positive")
-    m = optimal_mask_2x2(a, b, c)
-    off = m * c
-    if off == 0.0:
-        masked_value = solve_diagonal_linx([a, b], 1).value
-    else:
-        masked_c = SymMatrix.from_array([[a, off], [off, b]])
-        masked_value = solve_linx(validate(masked_c, 1), 1, Mask.ones(2), 1.0).value
-    if masked_value == NEG_INF:
-        raise ValueError("masked bound is degenerate for this input")
-    g = math.exp(2.0 * masked_value)
-    num = (c * c + 1.0 - a * b) ** 2 + (a + b) ** 2
-    return 0.5 * math.log(num / (4.0 * g))

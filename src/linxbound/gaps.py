@@ -15,7 +15,8 @@ Two families, both with s = n/2:
 The masked side of both experiments goes through the diagonal closed
 form, which is exact; the unmasked side is the actual solver value,
 always at least the uniform-point floor, so the reported gaps are
-realized, not just guaranteed.
+realized, not just guaranteed.  gap_lower_bound_2x2 gives the guaranteed
+gain of the optimal 2x2 mask for s = 1.
 """
 
 from __future__ import annotations
@@ -27,9 +28,14 @@ from enum import Enum
 import numpy as np
 import scipy.linalg as sla
 
-from .diagonal import optimal_gamma_diagonal, solve_diagonal_linx
+from .diagonal import (
+    _check_2x2_psd,
+    optimal_gamma_diagonal,
+    optimal_mask_2x2,
+    solve_diagonal_linx,
+)
 from .instance import Mask, SymMatrix, validate
-from .linx import DEFAULT_OPTIONS, SolverOptions, solve_linx
+from .linx import DEFAULT_OPTIONS, NEG_INF, SolverOptions, solve_linx
 from .scaling import optimize_gamma
 
 DEFAULT_N_CAP = 256  # largest order per row; every Newton step of a row costs O(n^3)
@@ -162,3 +168,25 @@ def run_gap_experiment(
             )
         )
     return rows
+
+
+def gap_lower_bound_2x2(a: float, b: float, c: float) -> float:
+    """Guaranteed improvement of the optimally masked 2x2 bound, s = 1.
+
+    Combines the uniform-point lower bound on the unmasked side (written
+    through the eigenvalue identities lam1 + lam2 = a + b and
+    lam1 lam2 = ab - c^2) with the achieved masked value:
+
+        0.5 * log( ((c^2 + 1 - ab)^2 + (a + b)^2) / (4 g) ),
+        g = exp(2 * masked bound at the optimal mask).
+    """
+    a, b, c = _check_2x2_psd(a, b, c)
+    if b <= 0.0:
+        raise ValueError("diagonal entries must be positive")
+    off = optimal_mask_2x2(a, b, c) * c
+    masked_value = solve_linx(validate(SymMatrix.from_array([[a, off], [off, b]]), 1), 1).value
+    if masked_value == NEG_INF:
+        raise ValueError("masked bound is degenerate for this input")
+    g = math.exp(2.0 * masked_value)
+    num = (c * c + 1.0 - a * b) ** 2 + (a + b) ** 2
+    return 0.5 * math.log(num / (4.0 * g))

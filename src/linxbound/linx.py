@@ -31,6 +31,11 @@ Convergence is certified independently of the method by the
 standard linearization gap max_v grad(x) . (v - x) over the vertices v of
 P(n, s), which upper-bounds the suboptimality of x.
 
+When C o M is diagonal the objective separates, and solve_linx returns
+the closed-form maximizer of diagonal.solve_diagonal_linx instead: with
+a = diag(C o M), gamma a_i^2 = (sqrt(gamma) a_i)^2, so the program is the
+unscaled one of Diag(sqrt(gamma) a), shifted by -s log(gamma) / 2.
+
 The scaling search runs the same engine with psi = log(gamma) as one more,
 free, variable: f is convex in psi, so it takes joint Newton steps to the
 saddle point, max over x and min over psi (see _maximize_capped_simplex).
@@ -47,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
+from .diagonal import solve_diagonal_linx
 from .instance import Instance, Mask, _freeze
 
 NEG_INF = float("-inf")
@@ -131,6 +137,11 @@ def _fw_gap(g, x, s: int) -> float:
     return float(g @ (lmo_capped_simplex(g, s) - x))
 
 
+def _gap_tol(opts: SolverOptions, f0: float) -> float:
+    """Gap target of a solve whose objective is f0 at the uniform start."""
+    return opts.tol_fw if opts.tol_fw is not None else 1e-8 * max(1.0, abs(f0))
+
+
 def _cholesky(mat):
     """Lower Cholesky factor, or None when mat is not positive definite."""
     try:
@@ -165,13 +176,9 @@ class _LinxProblem:
         f_psipsi = 0.5 * (d . diag(W) - d . (W o W) d),
         f_xpsi   = 0.5 * (diag(W) + gamma (P o P) d - (W o W) d).
 
-    When the masked matrix is diagonal, the evaluation reduces to
-    per-coordinate factors (gamma * a_ii^2 - 1) x_i + 1 and needs no
-    Cholesky or inverse; the Newton step still solves its dense n x n
-    system in _kkt_step.  The path stays because it is faster: forced onto
-    the dense path, identity-masked solves of seed-0 Gram matrices (s =
-    n/2, one BLAS thread) took the same steps to the same values but ran
-    1.2x, 1.9x and 4.8x slower at n = 12, 64 and 128.
+    A diagonal A takes the same formulas; solve_linx sends it to the
+    closed form instead, but the scaling search's joint solve and
+    linx_objective / linx_gradient evaluate it here.
     """
 
     def __init__(self, inst: Instance, mask: Mask, gamma: float, s: int):
@@ -183,9 +190,6 @@ class _LinxProblem:
         self.gamma = float(gamma)
         self.s = s
         self.shift = s * math.log(self.gamma)
-        self.diagonal = not np.any(A - np.diag(A.diagonal()))
-        self.asq = A.diagonal() ** 2  # diagonal path only
-        self.coef = self.gamma * self.asq - 1.0
 
     def derivatives(self, x, psi=None):
         """(value, gradient, Hessian) of f at x; (-inf, None, None) where
@@ -195,23 +199,9 @@ class _LinxProblem:
         own gamma, and a fourth entry (f_psi, f_psipsi, f_xpsi) follows.
         """
         if psi is None:
-            gam, shift, coef = self.gamma, self.shift, self.coef
+            gam, shift = self.gamma, self.shift
         else:
             gam, shift = math.exp(psi), self.s * psi
-            coef = gam * self.asq - 1.0
-        if self.diagonal:
-            fac = coef * x + 1.0
-            if not np.all(fac > 0.0):
-                return NEG_INF, None, None
-            r = coef / fac
-            val = 0.5 * (float(np.log(fac).sum()) - shift)
-            out = (val, 0.5 * r, np.diag(-0.5 * r * r))
-            if psi is None:
-                return out
-            d = 1.0 - x
-            w = 1.0 / fac
-            wwd = w * w * d
-            return out + (self._psi_terms(d, w, wwd, self.asq * wwd, gam),)
         F = gam * ((self.A * x) @ self.A)
         F.flat[:: self.n + 1] += 1.0 - x
         chol = _cholesky(F)
@@ -227,17 +217,11 @@ class _LinxProblem:
         if psi is None:
             return out
         d = 1.0 - x
-        return out + (self._psi_terms(d, wdiag, WW @ d, PP @ d, gam),)
-
-    def _psi_terms(self, d, wdiag, wwd, ppd, gam):
-        """(f_psi, f_psipsi, f_xpsi) from d = e - x, diag(W), (W o W) d
-        and (P o P) d."""
-        dw = float(d @ wdiag)
-        return (
-            0.5 * (self.n - self.s - dw),
-            0.5 * (dw - float(d @ wwd)),
-            0.5 * (wdiag + gam * ppd - wwd),
-        )
+        dw, wwd = float(d @ wdiag), WW @ d
+        f_psi = 0.5 * (self.n - self.s - dw)
+        f_pp = 0.5 * (dw - float(d @ wwd))
+        f_xp = 0.5 * (wdiag + gam * (PP @ d) - wwd)
+        return out + ((f_psi, f_pp, f_xp),)
 
 
 def linx_objective(inst: Instance, mask: Mask, gamma: float, x) -> float:
@@ -456,7 +440,7 @@ def _maximize_capped_simplex(problem, n: int, s: int, opts: SolverOptions, psi=N
     point = evaluate(x, psi)
     if not np.isfinite(point[0]):
         raise ArithmeticError("objective is undefined at the uniform start point")
-    tol = opts.tol_fw if opts.tol_fw is not None else 1e-8 * max(1.0, abs(point[0]))
+    tol = _gap_tol(opts, point[0])
     t = 1.0
     iters = 0
     while iters < opts.max_iter:
@@ -512,7 +496,9 @@ def solve_linx(
     mask=None means the all-ones mask (no masking).  On hitting the
     iteration cap the last iterate is returned with converged=False; its
     duality_gap still upper-bounds how far the value can be below the
-    true bound.
+    true bound.  A diagonal C o M takes the closed form (see the module
+    docstring): iterations is 0, max_iter does not apply, and duality_gap
+    is the linearization gap at the closed-form maximizer.
     """
     if mask is None:
         mask = Mask.ones(inst.n)
@@ -522,7 +508,20 @@ def solve_linx(
     if not 0 < s < inst.n:
         raise ValueError(f"need 0 < s < n, got s={s}, n={inst.n}")
     problem = _LinxProblem(inst, mask, gamma, s)
-    x, f, gap, iters, converged, _ = _maximize_capped_simplex(problem, inst.n, s, opts)
+    a = problem.A.diagonal()
+    if not np.any(problem.A - np.diag(a)):
+        x = solve_diagonal_linx(math.sqrt(problem.gamma) * a, s).x_hat
+        coef = problem.gamma * a * a - 1.0
+
+        def value(y):
+            return 0.5 * (float(np.log(coef * y + 1.0).sum()) - problem.shift)
+
+        f = value(x)
+        gap = max(_fw_gap(0.5 * coef / (coef * x + 1.0), x, s), 0.0)
+        tol = _gap_tol(opts, value(np.full(inst.n, s / inst.n)))
+        iters, converged = 0, gap <= tol
+    else:
+        x, f, gap, iters, converged, _ = _maximize_capped_simplex(problem, inst.n, s, opts)
     return BoundResult(
         value=f,
         x_hat=_freeze(x),

@@ -125,9 +125,10 @@ class TestBoundCommand:
         args = ["bound", "--input", diag_file, "--s", "2", "--gamma", "0.7"]
         assert _run(args) == _run(args)
 
-    def test_nonconvergence_exit_code(self, diag_file):
+    def test_nonconvergence_exit_code(self, gram8_file):
+        # a diagonal input takes the closed form, which --max-iter does not cap
         status, text = _run(
-            ["bound", "--input", diag_file, "--s", "1", "--max-iter", "1"]
+            ["bound", "--input", gram8_file, "--s", "4", "--max-iter", "1"]
         )
         assert status == 2
         assert json.loads(text)["value"] is not None
@@ -191,6 +192,17 @@ class TestLimitCommand:
         status, text = _run(["limit", "--input", str(path), "--s", "1"])
         assert status == 3
         assert json.loads(text)["regime"] == "InteriorOptimum"
+
+    @pytest.mark.parametrize("base", ["2", "10"])
+    def test_regime_misuse_in_other_log_bases(self, tmp_path, base):
+        # the report's value is a string, which the base conversion skips
+        path = tmp_path / "i3.txt"
+        path.write_text(I3)
+        status, text = _run(["limit", "--input", str(path), "--s", "1", "--log-base", base])
+        assert status == 3
+        report = json.loads(text)
+        assert report["regime"] == "InteriorOptimum"
+        assert report["value"] == "undefined: limit program requires s = rank"
 
 
 class TestCsvOutput:

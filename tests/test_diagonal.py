@@ -21,7 +21,7 @@ from linxbound import (
     validate,
 )
 
-from helpers import diagonal_entries
+from helpers import diagonal_entries, engine_solve
 
 HALF = math.sqrt(2.0) / 2.0
 
@@ -142,7 +142,7 @@ class TestDiagonalSolve:
             s = int(rng.integers(1, n))
             d = diagonal_entries(rng, n)
             sol = solve_diagonal_linx(d, s)
-            res = solve_linx(validate(SymMatrix.from_diagonal(d), s), s)
+            res = engine_solve(validate(SymMatrix.from_diagonal(d), s), s)
             assert abs(sol.value - res.value) <= 1e-6
             assert np.max(np.abs(np.sort(sol.x_hat) - np.sort(res.x_hat))) <= 1e-4
 

@@ -25,6 +25,7 @@ from linxbound.linx import _kkt_step, _LinxProblem
 from helpers import (
     correlation_matrix,
     diagonal_entries,
+    engine_solve,
     gram_matrix,
     hessian_error,
     interior_point,
@@ -176,7 +177,6 @@ class TestHessian:
             else:
                 mask = Mask.from_matrix(SymMatrix.from_array(correlation_matrix(rng, n)))
             problem = _LinxProblem(inst, mask, math.exp(rng.uniform(-1.5, 1.5)), s)
-            problem.diagonal = False  # the dense formulas, also for C o I
             worst = max(worst, hessian_error(problem, interior_point(rng, n, s)))
         assert worst <= 1e-5
 
@@ -187,7 +187,6 @@ class TestHessian:
             s = int(rng.integers(1, n))
             inst = _instance(np.diag(diagonal_entries(rng, n)), s)
             problem = _LinxProblem(inst, Mask.ones(n), math.exp(rng.uniform(-1.5, 1.5)), s)
-            assert problem.diagonal
             assert hessian_error(problem, interior_point(rng, n, s)) <= 1e-5
 
 
@@ -237,14 +236,14 @@ class TestSolve:
 
     def test_matches_diagonal_closed_form(self):
         d = np.array([2.0, 1.5, 0.5])
-        res = solve_linx(_instance(np.diag(d), 1), 1)
+        res = engine_solve(_instance(np.diag(d), 1), 1)
         sol = solve_diagonal_linx(d, 1)
         assert res.value == pytest.approx(0.7254164411287309, abs=1e-9)
         assert sol.value == pytest.approx(res.value, abs=1e-9)
         np.testing.assert_allclose(res.x_hat, [11 / 15, 4 / 15, 0.0], atol=1e-6)
 
     def test_flat_objective_returns_start_point(self):
-        res = solve_linx(_instance(np.eye(3), 1), 1)
+        res = engine_solve(_instance(np.eye(3), 1), 1)
         assert res.converged and res.iterations == 1
         np.testing.assert_allclose(res.x_hat, 1 / 3)
 
@@ -272,7 +271,7 @@ class TestSolve:
 
     def test_iteration_cap_flags_nonconvergence(self):
         d = np.array([2.0, 1.5, 0.5])
-        res = solve_linx(_instance(np.diag(d), 1), 1, opts=SolverOptions(max_iter=1))
+        res = engine_solve(_instance(np.diag(d), 1), 1, opts=SolverOptions(max_iter=1))
         assert not res.converged
         assert res.iterations == 1
 
@@ -391,15 +390,53 @@ class TestFaceFinish:
             d = np.repeat(np.exp(rng.uniform(-0.5, 0.5, size=(n + 1) // 2)), 2)[:n]
             inst = _instance(np.diag(d), s)
             for gamma in (0.3, 1.0, 5.0):
-                assert solve_linx(inst, s, gamma=gamma).converged, (n, s, gamma)
+                assert engine_solve(inst, s, gamma=gamma).converged, (n, s, gamma)
 
     @pytest.mark.parametrize("d, s", [([1.0, 1.0, 0.5], 1), ([2.0, 1.0, 1.0, 0.5], 2)])
     def test_flat_coordinates_match_closed_form(self, d, s):
         # gamma d_i^2 = 1 makes the free block of the face Hessian singular
         d = np.array(d)
-        res = solve_linx(_instance(np.diag(d), s), s)
+        res = engine_solve(_instance(np.diag(d), s), s)
         assert res.converged
         assert abs(res.value - solve_diagonal_linx(d, s).value) <= 1e-12
+
+
+def _separable_cases(rng):
+    """(instance, s, mask, diag(C o M)) with ties, unit entries and scales
+    from e^-6 to e^6: diagonal matrices under J, and dense ones under I."""
+    for k in range(24):
+        n = int(rng.integers(3, 11))
+        s = int(rng.integers(1, n))
+        d = np.exp(rng.uniform(-6.0, 6.0, size=n))
+        d[rng.integers(0, n, size=2)] = 1.0
+        if k % 3 == 0:
+            d[1:3] = d[0]
+        if k % 2:
+            mask = Mask.ones(n)
+            entries = np.diag(d)
+        else:
+            mask = Mask.identity(n)
+            root = np.sqrt(d)
+            entries = correlation_matrix(rng, n) * root[:, None] * root[None, :]
+            np.fill_diagonal(entries, d)
+        yield _instance(entries, s), s, mask, d
+
+
+class TestSeparableDispatch:
+    """A diagonal C o M is solved by the closed form of solve_diagonal_linx."""
+
+    def test_matches_closed_form_and_dominates_oracle(self):
+        rng = np.random.default_rng(46)
+        for inst, s, mask, d in _separable_cases(rng):
+            ex = exact_mesp(inst, s).value
+            for gamma in (0.3, 1.0, 5.0):
+                res = solve_linx(inst, s, mask, gamma)
+                sol = solve_diagonal_linx(math.sqrt(gamma) * d, s)
+                np.testing.assert_array_equal(res.x_hat, sol.x_hat)
+                assert abs(res.value - (sol.value - 0.5 * s * math.log(gamma))) <= 1e-12
+                assert res.iterations == 0 and res.converged
+                # at a binary x_hat both sides are the same logdet, up to rounding
+                assert res.upper_bound >= ex - 1e-12 * max(1.0, abs(ex))
 
 
 class TestCertificate:
@@ -419,7 +456,7 @@ class TestCertificate:
 
     def test_nonconverged_never_certifies(self):
         inst = _instance(np.diag([2.0, 1.5, 0.5]), 1)
-        res = solve_linx(inst, 1, gamma=0.25, opts=SolverOptions(max_iter=1))
+        res = engine_solve(inst, 1, gamma=0.25, opts=SolverOptions(max_iter=1))
         if not res.converged:
             assert not certify_gamma_optimal(res)
 

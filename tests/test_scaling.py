@@ -269,7 +269,6 @@ class TestPsiDerivatives:
             s = int(rng.integers(1, n))
             inst = validate(SymMatrix.from_diagonal(diagonal_entries(rng, n)), s)
             problem = _LinxProblem(inst, Mask.ones(n), 1.0, s)
-            assert problem.diagonal
             psi = rng.uniform(-1.5, 1.5)
             assert _psi_derivative_error(problem, interior_point(rng, n, s), psi) <= 1e-5
 
