@@ -113,13 +113,12 @@ def _load_mask(spec: str, n: int) -> Mask:
 
 
 def _gamma_value(text: str) -> float:
+    """--gamma as a number; solve_linx rejects one that is not finite and
+    positive, which exits 1 like any other invalid input."""
     try:
-        g = float(text)
+        return float(text)
     except ValueError:
         raise ValueError(f"--gamma must be a number or 'auto', got {text!r}") from None
-    if g <= 0.0:
-        raise ValueError(f"--gamma must be positive, got {g}")
-    return g
 
 
 def _scale_values(report: dict, base: str) -> dict:

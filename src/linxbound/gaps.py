@@ -12,8 +12,10 @@ Two families, both with s = n/2:
     optimizing gamma on both sides; with (c1, c2) = (0, 1) the floor
     constant is about 0.024036 per row, attained at gamma = (1+sqrt(3))/2.
 
-The masked side of both experiments goes through the diagonal closed
-form, which is exact; the unmasked side is the actual solver value,
+The masked side of both experiments is solve_linx (unscaled) or
+optimize_gamma (scaled) with the identity mask, which answer the
+diagonal C o I by its closed form, exactly; the unmasked side is the
+actual solver value,
 always at least the uniform-point floor, so the reported gaps are
 realized, not just guaranteed.  gap_lower_bound_2x2 gives the guaranteed
 gain of the optimal 2x2 mask for s = 1.
@@ -28,12 +30,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg as sla
 
-from .diagonal import (
-    _check_2x2_psd,
-    optimal_gamma_diagonal,
-    optimal_mask_2x2,
-    solve_diagonal_linx,
-)
+from .diagonal import _check_2x2_psd, optimal_mask_2x2
 from .instance import Mask, SymMatrix, validate
 from .linx import DEFAULT_OPTIONS, NEG_INF, SolverOptions, solve_linx
 from .scaling import optimize_gamma
@@ -123,10 +120,11 @@ def run_gap_experiment(
 ) -> list[GapReportRow]:
     """Measure plain-versus-masked bounds on the gap families, s = n/2.
 
-    Unscaled: both sides at gamma = 1.  Scaled: the plain side optimizes
-    gamma by search; the masked side is diagonal, where 1/d_s^2 is the
-    exact optimal scaling and the scaled bound is tight (sum of the top
-    s log-diagonals; identically 0 for the unit-diagonal family).
+    Unscaled: both sides at gamma = 1.  Scaled: both sides optimize
+    gamma by optimize_gamma; the masked side is diagonal, where the search
+    takes the exact optimal scaling 1/d_s^2 and the scaled bound is tight
+    (sum of the top s log-diagonals; identically 0 for the unit-diagonal
+    family).  A row converges when both sides do.
     Rows are reported in increasing n; an order above DEFAULT_N_CAP is
     refused.
     """
@@ -136,21 +134,20 @@ def run_gap_experiment(
             raise ValueError(f"n={n} exceeds the cap {DEFAULT_N_CAP}")
         s = n // 2
         if kind is GapKind.UNSCALED:
-            mat = build_maskgap_instance(n)
-            inst = validate(mat, s)
-            res = solve_linx(inst, s, Mask.ones(n), 1.0, opts)
-            plain, gamma_plain, ok = res.value, 1.0, res.converged
-            masked = solve_diagonal_linx(np.diagonal(mat.entries), s).value
-            gamma_masked = 1.0
+            inst = validate(build_maskgap_instance(n), s)
+            res_p = solve_linx(inst, s, Mask.ones(n), 1.0, opts)
+            res_m = solve_linx(inst, s, Mask.identity(n), 1.0, opts)
+            plain, masked = res_p.value, res_m.value
+            gamma_plain = gamma_masked = 1.0
+            ok = res_p.converged and res_m.converged
             floor = UNSCALED_FLOOR_PER_N * n
         elif kind is GapKind.SCALED:
-            mat = build_scaledgap_instance(n, c1, c2)
-            inst = validate(mat, s)
-            search = optimize_gamma(inst, s, Mask.ones(n), opts)
-            plain, gamma_plain, ok = search.bound_value, search.gamma_hat, search.converged
-            d_sorted = np.sort(np.diagonal(mat.entries))[::-1]
-            gamma_masked = optimal_gamma_diagonal(d_sorted, s)
-            masked = float(np.sum(np.log(d_sorted[:s])))
+            inst = validate(build_scaledgap_instance(n, c1, c2), s)
+            res_p = optimize_gamma(inst, s, Mask.ones(n), opts)
+            res_m = optimize_gamma(inst, s, Mask.identity(n), opts)
+            plain, masked = res_p.bound_value, res_m.bound_value
+            gamma_plain, gamma_masked = res_p.gamma_hat, res_m.gamma_hat
+            ok = res_p.converged and res_m.converged
             _, b = scaled_gap_floor(c1, c2)
             floor = b * n
         else:

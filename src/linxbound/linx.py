@@ -142,6 +142,32 @@ def _gap_tol(opts: SolverOptions, f0: float) -> float:
     return opts.tol_fw if opts.tol_fw is not None else 1e-8 * max(1.0, abs(f0))
 
 
+def _check_gamma(gamma) -> float:
+    """gamma as a float; raises ValueError unless it is finite and positive."""
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ValueError(f"gamma must be a finite positive number, got {gamma}")
+    return float(gamma)
+
+
+def _is_diagonal(A) -> bool:
+    """Whether A = C o M has no nonzero off-diagonal entry, so f separates."""
+    return not np.any(A - np.diag(np.diagonal(A)))
+
+
+def _result(out, gamma: float, mask_id: str) -> BoundResult:
+    """BoundResult from a solve's (x, f, gap, iterations, converged, psi)."""
+    x, f, gap, iters, converged, _ = out
+    return BoundResult(
+        value=f,
+        x_hat=_freeze(x),
+        duality_gap=gap,
+        gamma=float(gamma),
+        mask_id=mask_id,
+        iterations=iters,
+        converged=converged,
+    )
+
+
 def _cholesky(mat):
     """Lower Cholesky factor, or None when mat is not positive definite."""
     try:
@@ -176,18 +202,18 @@ class _LinxProblem:
         f_psipsi = 0.5 * (d . diag(W) - d . (W o W) d),
         f_xpsi   = 0.5 * (diag(W) + gamma (P o P) d - (W o W) d).
 
-    A diagonal A takes the same formulas; solve_linx sends it to the
-    closed form instead, but the scaling search's joint solve and
-    linx_objective / linx_gradient evaluate it here.
+    A diagonal A takes the same formulas; solve_linx and the scaling
+    search send it to the closed form instead, but linx_objective and
+    linx_gradient evaluate it here.  A gamma that is not finite and
+    positive is rejected here, for every caller.
     """
 
     def __init__(self, inst: Instance, mask: Mask, gamma: float, s: int):
         if mask.n != inst.n:
             raise ValueError(f"mask order {mask.n} does not match instance order {inst.n}")
-        A = inst.C.entries * mask.matrix.entries
-        self.A = A
+        self.A = inst.C.entries * mask.matrix.entries
         self.n = inst.n
-        self.gamma = float(gamma)
+        self.gamma = _check_gamma(gamma)
         self.s = s
         self.shift = s * math.log(self.gamma)
 
@@ -232,8 +258,6 @@ def linx_objective(inst: Instance, mask: Mask, gamma: float, x) -> float:
     drift when x is perturbed off the simplex (finite-difference probes
     rely on this).
     """
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
     x = np.asarray(x, dtype=float)
     return _LinxProblem(inst, mask, gamma, round(float(x.sum()))).derivatives(x)[0]
 
@@ -243,8 +267,6 @@ def linx_gradient(inst: Instance, mask: Mask, gamma: float, x) -> np.ndarray:
 
     Raises when F(x) is not positive definite.
     """
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
     x = np.asarray(x, dtype=float)
     _, grad, _ = _LinxProblem(inst, mask, gamma, round(float(x.sum()))).derivatives(x)
     if grad is None:
@@ -502,35 +524,22 @@ def solve_linx(
     """
     if mask is None:
         mask = Mask.ones(inst.n)
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
     s = int(s)
     if not 0 < s < inst.n:
         raise ValueError(f"need 0 < s < n, got s={s}, n={inst.n}")
     problem = _LinxProblem(inst, mask, gamma, s)
+    if not _is_diagonal(problem.A):
+        return _result(_maximize_capped_simplex(problem, inst.n, s, opts), gamma, mask.label)
     a = problem.A.diagonal()
-    if not np.any(problem.A - np.diag(a)):
-        x = solve_diagonal_linx(math.sqrt(problem.gamma) * a, s).x_hat
-        coef = problem.gamma * a * a - 1.0
+    x = solve_diagonal_linx(math.sqrt(problem.gamma) * a, s).x_hat
+    coef = problem.gamma * a * a - 1.0
 
-        def value(y):
-            return 0.5 * (float(np.log(coef * y + 1.0).sum()) - problem.shift)
+    def value(y):
+        return 0.5 * (float(np.log(coef * y + 1.0).sum()) - problem.shift)
 
-        f = value(x)
-        gap = max(_fw_gap(0.5 * coef / (coef * x + 1.0), x, s), 0.0)
-        tol = _gap_tol(opts, value(np.full(inst.n, s / inst.n)))
-        iters, converged = 0, gap <= tol
-    else:
-        x, f, gap, iters, converged, _ = _maximize_capped_simplex(problem, inst.n, s, opts)
-    return BoundResult(
-        value=f,
-        x_hat=_freeze(x),
-        duality_gap=gap,
-        gamma=float(gamma),
-        mask_id=mask.label,
-        iterations=iters,
-        converged=converged,
-    )
+    gap = max(_fw_gap(0.5 * coef / (coef * x + 1.0), x, s), 0.0)
+    tol = _gap_tol(opts, value(np.full(inst.n, s / inst.n)))
+    return _result((x, value(x), gap, 0, gap <= tol, None), gamma, mask.label)
 
 
 def certify_gamma_optimal(result: BoundResult, tol_binary: float = 1e-6) -> bool:

@@ -13,14 +13,22 @@ the subset size s compares with rank(C):
 
 In the interior regime the bound is min over psi = log(gamma) of max over
 x of f(x, psi), and f is concave in x and convex in psi, so the search is
-one convex-concave saddle problem.  The closed-form candidate scalings are
-solved first, and a binary maximizer among them ends the search: exactness
-at binary points makes that gamma globally optimal.  Otherwise the barrier
-engine carries psi next to x and takes joint Newton steps on (x, psi) until
-the linearization gap and |df/dpsi| both meet their targets; one ordinary
-solve at the resulting gamma then gives the reported, certified bound.  The
-limit program supplies its own value, gradient and Hessian and is maximized
-by the same barrier engine as the linx bound.
+one convex-concave saddle problem, and each input takes one path to it:
+
+    separable C o M   (diagonal C, or the identity mask) one closed-form
+                      solve at gamma = 1/d_s^2, where the bound is the sum
+                      of the s largest log d_i, the subset optimum itself;
+    n = 2             the closed-form 2x2 candidate, whose binary maximizer
+                      certifies it (exactness at binary points);
+    otherwise         the barrier engine carries psi next to x and takes
+                      joint Newton steps on (x, psi) until the linearization
+                      gap and |df/dpsi| both meet their targets; that saddle
+                      point (x, psi) is the reported, certified bound at
+                      gamma = e^psi, and nothing is solved after it.
+
+A 2x2 candidate that does not certify is followed by the saddle solve.
+The limit program supplies its own value, gradient and Hessian and is
+maximized by the same barrier engine as the linx bound.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from enum import Enum
 import numpy as np
 
 from .diagonal import optimal_gamma_2x2, optimal_gamma_diagonal
-from .instance import Instance, Mask, SymMatrix, _freeze, validate
+from .instance import Instance, Mask, SymMatrix, validate
 from .linx import (
     DEFAULT_OPTIONS,
     BoundResult,
@@ -40,9 +48,11 @@ from .linx import (
     SolverOptions,
     _cho_inverse,
     _cholesky,
+    _is_diagonal,
     _LinxProblem,
     _logdet,
     _maximize_capped_simplex,
+    _result,
     certify_gamma_optimal,
     solve_linx,
 )
@@ -65,16 +75,17 @@ class GammaSearchResult:
     """Outcome of the scaling search.
 
     gamma_hat is math.inf for the two degenerate regimes.  psi_trace
-    records every solve_linx call as (psi, value) pairs, in evaluation
-    order: in the interior regime the closed-form candidates, then, unless
-    one certified, the solve at the saddle point's psi; it is empty in the
-    two degenerate regimes, where rank alone decides the answer (the limit
-    program runs in the s = rank regime; nothing runs in the s > rank
-    regime, whose bound is -inf).  converged reports whether every one of
-    those solves met its gap target and, when the saddle solve ran,
-    whether it met both its gap and slope targets.  best is the solve at
-    gamma_hat, the one of least certified bound (value + duality_gap), and
-    None in the two degenerate regimes.
+    records every bound the interior search computed, as (psi, value)
+    pairs in evaluation order: the closed-form solve of a separable C o M,
+    or the 2x2 candidate, or the saddle solve, or the 2x2 candidate
+    followed by the saddle solve when the candidate did not certify.  It
+    is empty in the two degenerate regimes, where rank alone decides the
+    answer (the limit program runs in the s = rank regime; nothing runs in
+    the s > rank regime, whose bound is -inf).  converged reports whether
+    each of those bounds met its gap target, and the saddle solve its
+    slope target too.  best is the entry at gamma_hat, the one of least
+    certified bound (value + duality_gap), and None in the two degenerate
+    regimes.
     """
 
     gamma_hat: float
@@ -141,43 +152,7 @@ def limit_linx_at_infinity(
         raise ValueError(f"need 0 < s < n, got s={s}, n={inst.n}")
     if s != inst.rank:
         raise ValueError(f"limit program requires s = rank, got s={s}, rank={inst.rank}")
-    problem = _LimitProblem(inst, s)
-    x, f, gap, iters, converged, _ = _maximize_capped_simplex(problem, inst.n, s, opts)
-    return BoundResult(
-        value=f,
-        x_hat=_freeze(x),
-        duality_gap=gap,
-        gamma=math.inf,
-        mask_id="J",
-        iterations=iters,
-        converged=converged,
-    )
-
-
-def _candidate_gammas(eff: Instance, s: int):
-    """Closed-form scalings worth probing before any search.
-
-    Diagonal matrices have the exact optimum 1/d_s^2; nonsingular 2x2
-    matrices have (a^2 - c^2)/(ab - c^2)^2.  Both produce binary
-    maximizers, so hitting one ends the search via the certificate.
-    """
-    a = eff.C.entries
-    if not np.any(a - np.diag(np.diagonal(a))):
-        d_sorted = np.sort(eff.d)[::-1]
-        yield optimal_gamma_diagonal(d_sorted, s)
-    elif eff.n == 2 and float(eff.eigvals[-1]) > 0.0:
-        try:
-            yield optimal_gamma_2x2(a[0, 0], a[1, 1], a[0, 1])
-        except ValueError:
-            pass
-
-
-def _probe(inst: Instance, s: int, mask: Mask, psi: float, opts: SolverOptions):
-    """(psi, solve_linx at gamma = e^psi), naming psi if the solve fails."""
-    try:
-        return psi, solve_linx(inst, s, mask, math.exp(psi), opts)
-    except ArithmeticError as exc:
-        raise ArithmeticError(f"inner solve failed at psi={psi:.6g}: {exc}") from exc
+    return _result(_maximize_capped_simplex(_LimitProblem(inst, s), inst.n, s, opts), math.inf, "J")
 
 
 def optimize_gamma(
@@ -190,18 +165,18 @@ def optimize_gamma(
 
     The regime (and the limit program, when it applies) is keyed to the
     rank of the masked matrix C o M, since that is the matrix the bound
-    actually sees.  In the interior regime the closed-form candidates are
-    solved first, and one whose maximizer is binary ends the search.
-    Otherwise _maximize_capped_simplex, started at the psi that is optimal
-    for the diagonal of C o M, finds the saddle point (x, psi) of f, max
-    over x and min over psi = log(gamma), by joint Newton steps; it stops
-    when the linearization gap meets opts' target and |df/dpsi| <=
-    linx.SLOPE_TOL.  One cold solve_linx at gamma = e^psi follows, so the
-    reported bound and best come from an ordinary solve, and
-    bound --gamma auto matches bound --gamma <gamma_hat>.  psi_trace holds
-    the candidates followed by that solve; best is the entry of least
-    certified bound (value + duality_gap), so the reported bound never
-    exceeds the certified bound of any trace entry.
+    actually sees.  In the interior regime a separable C o M takes one
+    closed-form solve_linx at gamma = 1/d_s^2, with iterations 0, and a
+    2x2 one the candidate of diagonal.optimal_gamma_2x2, which ends the
+    search when its maximizer is binary.  Otherwise
+    _maximize_capped_simplex, started at the psi that is optimal for the
+    diagonal of C o M, finds the saddle point (x, psi) of f, max over x
+    and min over psi = log(gamma), by joint Newton steps; it stops when
+    the linearization gap meets opts' target and |df/dpsi| <=
+    linx.SLOPE_TOL.  That point is the result at gamma = e^psi: its x,
+    f(x, psi), gap, steps and convergence, with no solve after it.  best
+    is the psi_trace entry of least certified bound (value +
+    duality_gap).
     """
     s = int(s)
     mask = Mask.ones(inst.n) if mask is None else mask
@@ -230,21 +205,31 @@ def optimize_gamma(
             converged=lim.converged,
         )
 
-    probes = [_probe(inst, s, mask, math.log(g), opts) for g in _candidate_gammas(eff, s)]
-    saddle_converged = True
-    if not any(certify_gamma_optimal(res) for _, res in probes):
-        # start from the scaling that is optimal for the diagonal of C o M,
-        # which makes the solve independent of the scale of C
-        psi0 = math.log(optimal_gamma_diagonal(np.sort(eff.d)[::-1], s))
-        problem = _LinxProblem(inst, mask, 1.0, s)
-        *_, saddle_converged, psi = _maximize_capped_simplex(problem, inst.n, s, opts, psi=psi0)
-        probes.append(_probe(inst, s, mask, psi, opts))
-    best = min((res for _, res in probes), key=lambda res: res.upper_bound)
+    a = eff.C.entries
+    gamma_diag = optimal_gamma_diagonal(np.sort(eff.d)[::-1], s)
+    if _is_diagonal(a):
+        results = [solve_linx(inst, s, mask, gamma_diag, opts)]
+    else:
+        results = []
+        if eff.n == 2:
+            try:
+                gamma_2x2 = optimal_gamma_2x2(a[0, 0], a[1, 1], a[0, 1])
+            except ValueError:
+                pass
+            else:
+                results.append(solve_linx(inst, s, mask, gamma_2x2, opts))
+        if not any(certify_gamma_optimal(res) for res in results):
+            # start from the scaling that is optimal for the diagonal of C o M,
+            # which makes the solve independent of the scale of C
+            problem = _LinxProblem(inst, mask, 1.0, s)
+            out = _maximize_capped_simplex(problem, inst.n, s, opts, psi=math.log(gamma_diag))
+            results.append(_result(out, math.exp(out[5]), mask.label))
+    best = min(results, key=lambda res: res.upper_bound)
     return GammaSearchResult(
         gamma_hat=best.gamma,
         bound_value=best.value,
-        psi_trace=tuple((psi, res.value) for psi, res in probes),
+        psi_trace=tuple((math.log(res.gamma), res.value) for res in results),
         regime=regime,
-        converged=saddle_converged and all(res.converged for _, res in probes),
+        converged=all(res.converged for res in results),
         best=best,
     )

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from linxbound import Mask, SymMatrix, solve_linx, validate
+from linxbound import Mask, SymMatrix, linx_objective, solve_linx, validate
 from linxbound.cli import _parser, main, parse_args, run
 
 from helpers import gram_matrix
@@ -98,21 +98,25 @@ class TestBoundCommand:
         assert report["gamma"] == pytest.approx(0.25)
         assert report["value"] == pytest.approx(math.log(2.0), abs=1e-9)
 
-    def test_auto_gamma_dense_reports_the_search_probe(self, gram8_file):
-        # the auto report's x_hat and gap come from the search's own probe
-        # at gamma-hat, which a fixed-gamma run at that gamma reproduces
+    def test_auto_gamma_dense_is_consistent_at_its_gamma(self, gram8_file):
+        # the auto report is the saddle solve itself: its value is the
+        # objective at its own x_hat and gamma, and a fixed-gamma run at
+        # that gamma certifies the same bound within the two gaps
         status, text = _run(["bound", "--input", gram8_file, "--s", "4", "--gamma", "auto"])
         assert status == 0
         auto = json.loads(text)
         assert auto["regime"] == "InteriorOptimum"
+        inst = validate(SymMatrix.from_array(gram_matrix(np.random.default_rng(40), 8)), 4)
+        at_x = linx_objective(inst, Mask.ones(8), auto["gamma"], auto["x_hat"])
+        assert abs(auto["value"] - at_x) <= 1e-12 * abs(at_x)
         status, text = _run(
             ["bound", "--input", gram8_file, "--s", "4", "--gamma", repr(auto["gamma"])]
         )
         assert status == 0
         fixed = json.loads(text)
         assert fixed["gamma"] == auto["gamma"]
-        for key in ("value", "x_hat", "duality_gap"):
-            assert auto[key] == fixed[key]
+        slack = auto["duality_gap"] + fixed["duality_gap"] + 1e-13 * abs(fixed["value"])
+        assert abs(auto["value"] - fixed["value"]) <= slack
 
     def test_log_base_conversion(self, j2_file):
         _, nat = _run(["bound", "--input", j2_file, "--s", "1"])
@@ -284,6 +288,14 @@ class TestErrorPaths:
     def test_invalid_gamma(self, j2_file):
         status, _ = _run(["bound", "--input", j2_file, "--s", "1", "--gamma", "-2"])
         assert status == 1
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "1e400"])
+    def test_non_finite_gamma(self, diag_file, gram8_file, gamma):
+        # these used to print NaN values or a misleading solver error
+        for path in (diag_file, gram8_file):
+            status, text = _run(["bound", "--input", path, "--s", "1", "--gamma", gamma])
+            assert status == 1
+            assert "finite positive" in text
 
     def test_unknown_mask_spec(self, j2_file):
         status, _ = _run(["bound", "--input", j2_file, "--s", "1", "--mask", "bogus"])

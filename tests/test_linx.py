@@ -288,6 +288,27 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_linx(inst, 3)
 
+    @pytest.mark.parametrize(
+        "gamma", [math.nan, math.inf, float("1e400"), -math.inf], ids=["nan", "inf", "1e400", "-inf"]
+    )
+    @pytest.mark.parametrize(
+        "entries",
+        [np.diag([2.0, 1.5, 0.5]), gram_matrix(np.random.default_rng(47), 3)],
+        ids=["diagonal", "dense"],
+    )
+    def test_rejects_non_finite_gamma(self, entries, gamma):
+        # a diagonal input used to return NaN (or fail on its diagonal), a
+        # dense one to fail inside the solver
+        inst = _instance(entries, 1)
+        x = np.full(3, 1.0 / 3.0)
+        for call in (
+            lambda: solve_linx(inst, 1, gamma=gamma),
+            lambda: linx_objective(inst, Mask.ones(3), gamma, x),
+            lambda: linx_gradient(inst, Mask.ones(3), gamma, x),
+        ):
+            with pytest.raises(ValueError, match="finite positive"):
+                call()
+
     def test_mask_id_propagates(self):
         inst = _instance(np.eye(3), 1)
         assert solve_linx(inst, 1).mask_id == "J"

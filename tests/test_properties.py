@@ -1,0 +1,61 @@
+"""Property tests of the scaling search against the exact oracle."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from linxbound import (  # noqa: E402
+    Mask,
+    RegimeTag,
+    SymMatrix,
+    exact_mesp,
+    linx_objective,
+    optimize_gamma,
+    solve_linx,
+    validate,
+)
+
+from helpers import correlation_matrix, gram_matrix  # noqa: E402
+
+
+@st.composite
+def masked_instances(draw):
+    """(instance, s, mask): a Gram matrix of order 3-8 and random rank plus
+    a small diagonal shift, any s, and the J, I or a correlation mask."""
+    n = draw(st.integers(3, 8))
+    rank = draw(st.integers(1, n))
+    shift = draw(st.sampled_from([0.0, 1e-6, 1e-3, 1e-1]))
+    s = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inst = validate(SymMatrix.from_array(gram_matrix(rng, n, rank) + shift * np.eye(n)), s)
+    kind = draw(st.sampled_from(["J", "I", "correlation"]))
+    if kind == "J":
+        mask = Mask.ones(n)
+    elif kind == "I":
+        mask = Mask.identity(n)
+    else:
+        mask = Mask.from_matrix(SymMatrix.from_array(correlation_matrix(rng, n)))
+    return inst, s, mask
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(masked_instances())
+def test_search_certifies_a_bound_at_its_own_point(case):
+    inst, s, mask = case
+    search = optimize_gamma(inst, s, mask)
+    if search.regime.tag is not RegimeTag.INTERIOR_OPTIMUM:
+        return
+    best = search.best
+    assert search.converged
+    scale = max(1.0, abs(best.value))
+    # the bound is certified: no subset beats it
+    opt = exact_mesp(inst, s).value
+    assert best.upper_bound >= opt - 1e-9 * max(1.0, abs(opt))
+    # the reported value is the objective at the reported (gamma, x_hat)
+    at_x = linx_objective(inst, mask, best.gamma, best.x_hat)
+    assert abs(best.value - at_x) <= 1e-12 * scale
+    # no worse than the unscaled bound, within the search's own gap
+    plain = solve_linx(inst, s, mask, 1.0)
+    assert best.upper_bound <= plain.upper_bound + best.duality_gap + 1e-12 * scale

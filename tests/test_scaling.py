@@ -127,20 +127,40 @@ class TestOptimizeGamma:
                     assert search.bound_value <= val + 1e-8
 
     def test_dense_search_probe_count(self):
-        # one solve per slope: a [-2, 2] bracket bisected to PSI_TOL takes
-        # 24 probes, where finite-difference slopes plus golden section took 38
         rng = np.random.default_rng(37)
         for n in (8, 12, 16):
             inst = validate(SymMatrix.from_array(gram_matrix(rng, n)), n // 2)
             search = optimize_gamma(inst, n // 2)
             assert search.regime.tag is RegimeTag.INTERIOR_OPTIMUM
             assert search.converged
-            assert len(search.psi_trace) <= 26
+            assert len(search.psi_trace) == 1
+
+    def test_dense_search_runs_no_solve(self, monkeypatch):
+        # the saddle point is the reported bound; nothing is solved after it
+        calls = []
+        real = scaling.solve_linx
+        monkeypatch.setattr(scaling, "solve_linx", lambda *a, **k: calls.append(a) or real(*a, **k))
+        inst = validate(SymMatrix.from_array(gram_matrix(np.random.default_rng(48), 10)), 5)
+        search = optimize_gamma(inst, 5)
+        assert search.converged
+        assert len(calls) == 0
+        assert search.best.iterations > 0
+
+    def test_tied_diagonal_takes_the_closed_form_alone(self):
+        # d_s = d_{s+1}: the closed form's x_hat splits the tied block, so
+        # it does not certify, yet its value is the subset optimum
+        inst = validate(SymMatrix.from_diagonal([3.0, 2.0, 2.0, 0.5, 0.7]), 2)
+        search = optimize_gamma(inst, 2)
+        assert len(search.psi_trace) == 1
+        assert search.best.iterations == 0
+        assert search.gamma_hat == 0.25
+        assert abs(search.bound_value - (math.log(3.0) + math.log(2.0))) <= 1e-12
+        assert search.converged
 
     def test_saddle_search_is_one_solve_at_the_optimum(self):
-        # one joint (x, psi) solve and one solve at its gamma replace the
-        # bisection's 24 probes; convexity in psi puts the neighbours of
-        # gamma-hat no lower than the reported bound
+        # one joint (x, psi) solve replaces the bisection's 24 probes;
+        # convexity in psi puts the neighbours of gamma-hat no lower than
+        # the reported bound
         rng = np.random.default_rng(41)
         for n in (8, 12, 16, 32):
             inst = validate(SymMatrix.from_array(gram_matrix(rng, n)), n // 2)
@@ -161,14 +181,23 @@ class TestOptimizeGamma:
         "entries,s",
         [(np.diag([3.0, 1.5, 1.5, 1.5, 0.2]), 2), ([[1.0, 0.5], [0.5, 1.0]], 1)],
     )
-    def test_best_has_the_least_certified_bound(self, entries, s):
-        # the closed-form candidate leaves a non-binary maximizer here, so
-        # the search solves again and keeps the least value + duality_gap
+    def test_best_has_the_least_certified_bound(self, entries, s, monkeypatch):
+        # the closed-form candidate leaves a non-binary maximizer in both
+        # cases; the diagonal one is still optimal and ends the search, the
+        # 2x2 one is followed by the saddle solve, and best is the entry of
+        # least value + duality_gap
+        results = []
+        for name in ("solve_linx", "_result"):
+            real = getattr(scaling, name)
+            monkeypatch.setattr(
+                scaling, name, lambda *a, real=real, **k: results.append(real(*a, **k)) or results[-1]
+            )
         inst = validate(SymMatrix.from_array(entries), s)
         search = optimize_gamma(inst, s)
-        assert len(search.psi_trace) == 2
-        for psi, _ in search.psi_trace:
-            assert search.best.upper_bound <= solve_linx(inst, s, gamma=math.exp(psi)).upper_bound
+        assert len(search.psi_trace) == len(results) == (1 if inst.n > 2 else 2)
+        for (psi, value), res in zip(search.psi_trace, results):
+            assert (psi, value) == (math.log(res.gamma), res.value)
+            assert search.best.upper_bound <= res.upper_bound
 
     def test_best_is_the_probe_at_gamma_hat(self):
         rng = np.random.default_rng(38)
