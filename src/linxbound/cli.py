@@ -59,7 +59,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--tol-fw", type=float, default=DEFAULT_OPTIONS.tol_fw,
                        help="duality-gap target")
         p.add_argument("--max-iter", type=int, default=DEFAULT_OPTIONS.max_iter,
-                       help="Newton steps per solve")
+                       help="derivative evaluations per solve")
 
     p_bound = sub.add_parser("bound", help="evaluate the bound at a given gamma")
     add_common(p_bound)

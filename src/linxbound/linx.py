@@ -15,10 +15,15 @@ The maximizer is found by a log-barrier method.  F is affine in x, so
 
     psi_t(x) = -2 t f(x) - sum log x_i - sum log(1 - x_i),   t >= 1,
 
-on the hyperplane e.x = s.  Damped Newton steps x <- x + dx / (1 + lam),
-with lam the Newton decrement, stay inside the box without any line
-search; once an iterate is centred (lam < 1/4) the weight t grows by a
-fixed factor.  Before t grows, every centred iterate after the first
+on the hyperplane e.x = s.  Each Newton step dx comes with a backtracking
+line search on psi_t: it first tries the full step, or 0.7 of the way to
+the box boundary when that is shorter, and halves the step until psi_t
+falls enough.  The damped step x + dx / (1 + lam), with lam the Newton
+decrement, ends the halving: self-concordance guarantees that it stays
+inside the box and decreases psi_t.  Once an iterate is centred
+(lam < 1/4) the weight t grows by a fixed factor, until t is so large
+that the gap there is below the tolerance up to rounding.  Before t
+grows, every centred iterate after the first
 predicts the face of the optimum from its ratio to the previous one (a
 Tapia indicator: a coordinate headed for a bound shrinks its distance to
 it about as fast as t grows, an interior one keeps its value), fixes
@@ -39,6 +44,8 @@ unscaled one of Diag(sqrt(gamma) a), shifted by -s log(gamma) / 2.
 The scaling search runs the same engine with psi = log(gamma) as one more,
 free, variable: f is convex in psi, so it takes joint Newton steps to the
 saddle point, max over x and min over psi (see _maximize_capped_simplex).
+A saddle point has no merit function to descend, so those steps keep the
+damping 1 / (1 + lam) and take no line search.
 
 Everything here is a pure function of its inputs; solves on shared
 instances may run concurrently.
@@ -58,6 +65,9 @@ from .instance import Instance, Mask, _freeze
 NEG_INF = float("-inf")
 
 _CENTRED = 0.25      # Newton decrement below which an iterate counts as centred
+_BOX_FRACTION = 0.7  # share of the longest step inside the box that a line search tries first
+_ARMIJO = 0.1        # share of the predicted decrease of psi_t that a search step must make
+_BACKTRACK = 0.5     # factor by which a line search shortens a rejected step
 _T_GROWTH = 8.0      # barrier weight factor per centred iterate
 _RATIO = 0.4         # drop in distance to a bound between centred iterates that fixes x_i
 _FACE_STEPS = 4      # Newton steps allowed on a predicted face
@@ -75,8 +85,9 @@ class SolverOptions:
 
     tol_fw is the absolute target for the linearization (Frank-Wolfe)
     duality gap; None means 1e-8 * max(1, |f(x0)|), fixed at the uniform
-    start x0.  max_iter caps the number of Newton steps, barrier and face
-    steps alike; a face finish counts its projected point as one more.
+    start x0.  max_iter caps the number of evaluations of f and its
+    derivatives: every line-search trial, a rejected one too, every face
+    step and a face finish's projected point count as one.
     A tol_fw not finite and positive or a max_iter below 1 is rejected.
     """
 
@@ -429,27 +440,72 @@ def _face_newton(evaluate, x, prev, point, psi, s: int, tol: float, budget: int)
     return calls, None
 
 
+def _barrier(x) -> float:
+    """sum log x_i + sum log(1 - x_i), the log-sums of psi_t."""
+    return float(np.log(x * (1.0 - x)).sum())
+
+
+def _line_search(evaluate, x, dx, lam: float, t: float, merit: float, s: int, budget: int):
+    """Backtracking search on psi_t along its Newton direction dx.
+
+    The first trial is alpha = min(1, _BOX_FRACTION * alpha_box), with
+    alpha_box the longest step along dx inside the open box.  A trial is
+    accepted when psi_t drops by at least _ARMIJO * alpha * lam^2 from
+    merit, its value at x; otherwise alpha shrinks by _BACKTRACK.
+    Once alpha is at most 1/(1 + lam), the damped step there is taken
+    untested: self-concordance guarantees that it decreases psi_t.
+
+    Each trial point is one evaluate call.  The first is paid by the
+    caller, and budget more are allowed.  Returns (extra calls, (y, point,
+    barrier at y)) for the accepted point, and (extra calls, None) when
+    the budget runs out or rounding spoils the damped step.
+    """
+    floor = 1.0 / (1.0 + lam)
+    alpha = min(1.0, _BOX_FRACTION / float(np.maximum(-dx / x, dx / (1.0 - x)).max()))
+    calls = 0
+    while calls <= budget:
+        last = alpha <= floor
+        if last:
+            alpha = floor
+        y = _reproject(x + alpha * dx, s)
+        if y.min() > 0.0 and y.max() < 1.0:
+            calls += 1
+            point = evaluate(y, None)
+            if np.isfinite(point[0]):
+                by = _barrier(y)
+                if last or -2.0 * t * point[0] - by <= merit - _ARMIJO * alpha * lam * lam:
+                    return calls - 1, (y, point, by)
+        if last:
+            break
+        alpha *= _BACKTRACK
+    return max(calls - 1, 0), None
+
+
 def _maximize_capped_simplex(problem, n: int, s: int, opts: SolverOptions, psi=None):
     """Barrier-method core shared by the bound solvers.
 
     problem.derivatives(x) returns the value, gradient and Hessian of the
-    concave objective.  Each centred iterate but the first tries
-    _face_newton on the face that its ratio to the previous centred
-    iterate predicts, and returns that face's point when it meets the
-    tolerance; otherwise t grows and the barrier goes on from x.
-    Stops when the linearization gap meets the tolerance, when max_iter
-    derivatives calls are spent, or when rounding pushes a step out of
-    the open box.
+    concave objective.  A Newton step whose decrement lam is at least
+    _CENTRED goes through _line_search, whose trials each cost one
+    derivatives call and whose accepted trial is the next iterate.  Each
+    centred iterate but the first tries _face_newton on the face that its
+    ratio to the previous centred iterate predicts, and returns that
+    face's point when it meets the tolerance; otherwise t grows and the
+    barrier goes on from x.  Stops when the linearization gap meets the
+    tolerance, when max_iter derivatives calls are spent, when a centred
+    iterate misses the tolerance with t above 8 n / tol (the gap there is
+    below n / (2 t) up to rounding, so a larger t cannot help), or when
+    rounding pushes a step out of the open box.
 
     Given a starting psi, problem.derivatives(x, psi) must also return
     the psi-derivatives (as _LinxProblem's does), and the engine finds
     the saddle point, max over x and min over psi, of f(x, psi), which
     is convex in psi.  Each step, the face finish's too, is then the
     joint Newton step in (x, psi), damped by 1/(1 + max(lam, mu)) with mu
-    the decrement of the psi block; t grows when both decrements are
-    below _CENTRED; and the solve stops only when also |f_psi| <=
-    SLOPE_TOL.  A psi farther than _PSI_RUNAWAY from its start raises
-    RuntimeError.
+    the decrement of the psi block, without a line search or a cap on t;
+    t grows when both decrements are below _CENTRED; and the solve stops
+    only when also |f_psi| <= SLOPE_TOL.  A psi farther than _PSI_RUNAWAY
+    from its start raises RuntimeError.
 
     Returns (x, f, gap, iterations, converged, psi), psi None when it is
     not carried.
@@ -463,8 +519,10 @@ def _maximize_capped_simplex(problem, n: int, s: int, opts: SolverOptions, psi=N
     if not np.isfinite(point[0]):
         raise ArithmeticError("objective is undefined at the uniform start point")
     tol = _gap_tol(opts, point[0])
+    t_cap = 8.0 * n / tol
     t = 1.0
     iters = 0
+    barrier = None
     while iters < opts.max_iter:
         iters += 1
         if _met(point, x, s, tol):
@@ -478,9 +536,23 @@ def _maximize_capped_simplex(problem, n: int, s: int, opts: SolverOptions, psi=N
                 if face is not None:
                     x, psi, point = face
                     break
+            if psi is None and t > t_cap:
+                break  # the gap is below n / (2 t) < tol here up to rounding
             prev = x
             t *= _T_GROWTH
             dx, dpsi, lam, mu = _newton_step(x, point, t)
+        if psi is None and lam >= _CENTRED:
+            if barrier is None:
+                barrier = _barrier(x)
+            budget = opts.max_iter - iters
+            merit = -2.0 * t * point[0] - barrier
+            calls, found = _line_search(evaluate, x, dx, lam, t, merit, s, budget)
+            iters += calls
+            if found is None:
+                break
+            x, point, barrier = found
+            continue
+        barrier = None
         damp = 1.0 + max(lam, mu)
         xn = _reproject(x + dx / damp, s)
         if not (xn.min() > 0.0 and xn.max() < 1.0):

@@ -324,8 +324,82 @@ class TestLargeInstances:
         assert res.converged
         assert is_feasible(res.x_hat, 64)
         # the optimum has no coordinate at a bound; a face finish that fixed
-        # only coordinates near one climbed t to about 1e9 in 31 steps
-        assert res.iterations <= 24
+        # only coordinates near one climbed t to about 1e9 in 31 steps, and
+        # damped steps x + dx / (1 + lam) without a line search took 17
+        assert res.iterations <= 10
+
+
+def _ill_conditioned(seed, n=8):
+    """Q diag(logspace(0, -8, n)) Q^T with Q orthogonal from seeded QR."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+    return (q * np.logspace(0.0, -8.0, n)) @ q.T
+
+
+class TestLineSearch:
+    @pytest.mark.parametrize("n", [8, 12, 32, 64, 128])
+    def test_gram_solves_take_few_steps(self, n):
+        # damped steps alone took 17, 16, 30, 17 and 17 steps here: the
+        # decrement restarts at 2 to 38 after each growth of t and then
+        # falls by about 1 per step
+        inst = _instance(gram_matrix(np.random.default_rng(0), n), n // 2)
+        res = solve_linx(inst, n // 2)
+        assert res.converged
+        assert res.iterations <= 12
+
+    def test_ill_conditioned_single_picks_take_few_steps(self):
+        # damped steps alone took 175 steps in all
+        total = 0
+        for seed in range(10):
+            res = solve_linx(_instance(_ill_conditioned(seed), 1), 1, gamma=5.0)
+            assert res.converged, seed
+            total += res.iterations
+        assert total <= 140
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = [0]
+        derivatives = _LinxProblem.derivatives
+
+        def counted(self, *args):
+            calls[0] += 1
+            return derivatives(self, *args)
+
+        monkeypatch.setattr(_LinxProblem, "derivatives", counted)
+        return calls
+
+    def test_every_trial_counts_as_an_iteration(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        rng = np.random.default_rng(46)
+        cases = [(_ill_conditioned(seed), 1, Mask.ones(8), 5.0) for seed in range(3)]
+        for k in range(8):
+            n = int(rng.integers(5, 13))
+            s = int(rng.integers(1, n))
+            corr = Mask.from_matrix(SymMatrix.from_array(correlation_matrix(rng, n)))
+            cases.append((gram_matrix(rng, n), s, corr if k % 2 else Mask.ones(n), 0.5 + k / 4))
+        for entries, s, mask, gamma in cases:
+            calls[0] = 0
+            res = solve_linx(_instance(entries, s), s, mask, gamma)
+            assert res.converged
+            assert calls[0] == res.iterations
+
+    def test_iteration_cap_bounds_the_calls(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        inst = _instance(gram_matrix(np.random.default_rng(0), 32), 16)
+        for k in range(1, 16):
+            calls[0] = 0
+            res = solve_linx(inst, 16, opts=SolverOptions(max_iter=k))
+            assert res.iterations <= k
+            assert calls[0] <= k + 1
+
+    def test_unreachable_target_stops_early(self):
+        # entries up to 3.4e3 and f about 116, so tol_fw = 1e-10 is about
+        # 1e-12 relative: every face try misses it at the rounding level,
+        # and before the cap on t the solve spent all 5,000 evaluations
+        inst = _instance(2000.0 * gram_matrix(np.random.default_rng(0), 19), 9)
+        res = solve_linx(inst, 9, opts=SolverOptions(tol_fw=1e-10))
+        assert res.iterations <= 200
+        assert is_feasible(res.x_hat, 9)
+        assert res.duality_gap <= 1e-8
 
 
 class TestKktStep:

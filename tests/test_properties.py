@@ -1,4 +1,6 @@
-"""Property tests of the scaling search against the exact oracle."""
+"""Property tests of the solver and the scaling search against the exact oracle."""
+
+import math
 
 import numpy as np
 import pytest
@@ -21,10 +23,11 @@ from helpers import correlation_matrix, gram_matrix  # noqa: E402
 
 
 @st.composite
-def masked_instances(draw):
-    """(instance, s, mask): a Gram matrix of order 3-8 and random rank plus
-    a small diagonal shift, any s, and the J, I or a correlation mask."""
-    n = draw(st.integers(3, 8))
+def masked_instances(draw, max_n=8):
+    """(instance, s, mask): a Gram matrix of order 3 to max_n and random
+    rank plus a small diagonal shift, any s, and the J, I or a correlation
+    mask."""
+    n = draw(st.integers(3, max_n))
     rank = draw(st.integers(1, n))
     shift = draw(st.sampled_from([0.0, 1e-6, 1e-3, 1e-1]))
     s = draw(st.integers(1, n - 1))
@@ -59,3 +62,13 @@ def test_search_certifies_a_bound_at_its_own_point(case):
     # no worse than the unscaled bound, within the search's own gap
     plain = solve_linx(inst, s, mask, 1.0)
     assert best.upper_bound <= plain.upper_bound + best.duality_gap + 1e-12 * scale
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(masked_instances(max_n=10), st.floats(-2.0, 2.0))
+def test_fixed_gamma_solve_converges_above_the_oracle(case, u):
+    inst, s, mask = case
+    res = solve_linx(inst, s, mask, math.exp(u))
+    assert res.converged
+    opt = exact_mesp(inst, s).value
+    assert res.upper_bound >= opt - 1e-9 * max(1.0, abs(opt))
