@@ -26,7 +26,6 @@ import numpy as np
 from .instance import Instance, _freeze
 
 UNIT_SNAP = 1e-12   # |d_i - 1| below this counts as exactly 1
-PIVOT_TOL = 1e-14   # bisection interval width for the pivot equation
 
 
 class DiagonalCase(Enum):
@@ -77,8 +76,8 @@ def solve_xs_equation(d, s: int) -> float:
             + sum_{i>s} max(0, t + c_s - c_i) = s,
         c_i = 1/(d_i^2 - 1),
 
-    whose left side is increasing, piecewise linear, and continuous in t,
-    by bisection on [0, 1].
+    whose left side is continuous and piecewise linear in t with slope at
+    least 1, exactly: by linear interpolation between its breaks in [0, 1].
     """
     d = _snap_units(_check_d(d))
     n = d.size
@@ -92,24 +91,20 @@ def solve_xs_equation(d, s: int) -> float:
     c = 1.0 / (d * d - 1.0)
     if c[s] - c[s - 1] >= 1.0:
         raise ValueError("binary block: the pivot equation has no interior root")
-    head = c[s - 1] - c[: s - 1]
-    tail = c[s - 1] - c[s:]
-
-    def lhs(t: float) -> float:
-        return (
-            float(np.minimum(1.0, t + head).sum())
-            + t
-            + float(np.maximum(0.0, t + tail).sum())
-        )
-
-    lo, hi = 0.0, 1.0
-    while hi - lo > PIVOT_TOL:
-        mid = 0.5 * (lo + hi)
-        if lhs(mid) < s:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # c is non-decreasing, so term i is clip(t + c_s - c_i, 0, 1).  On
+    # [0, 1] it is 1 where c_i - c_s <= -1 and 0 where c_i - c_s >= 1; the
+    # shifts w = c_i - c_s in between put breaks at w and w + 1, and the
+    # left side is linear between breaks, so interpolating its inverse
+    # through them is exact.  Prefix sums give it at every break.
+    shift = c - c[s - 1]
+    w = shift[(shift > -1.0) & (shift < 1.0)]
+    t = np.concatenate(([0.0, 1.0], w, w + 1.0))
+    t = np.unique(t[(t >= 0.0) & (t <= 1.0)])
+    lo = np.searchsorted(w, t - 1.0, side="right")  # terms j < lo are 1
+    hi = np.searchsorted(w, t)                       # terms j >= hi are 0
+    total = np.concatenate(([0.0], np.cumsum(w)))
+    lhs = np.count_nonzero(shift <= -1.0) + lo + ((hi - lo) * t - (total[hi] - total[lo]))
+    return float(np.interp(s, lhs, t))
 
 
 def _solve_homogeneous(d: np.ndarray, s: int):
@@ -130,7 +125,7 @@ def _solve_homogeneous(d: np.ndarray, s: int):
         return x, DiagonalCase.BINARY, math.nan
     t = solve_xs_equation(d, s)
     x = np.clip(t + c[s - 1] - c, 0.0, 1.0)
-    # one linear correction spreads the bisection residual over the
+    # one linear correction spreads the rounding residual over the
     # interior coordinates, tightening e.x = s to rounding error
     interior = (x > 0.0) & (x < 1.0)
     k = int(np.count_nonzero(interior))

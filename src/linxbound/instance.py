@@ -38,10 +38,10 @@ class SymMatrix:
         return self.entries.shape[0]
 
     @staticmethod
-    def from_array(raw, tol_sym: float = TOL_SYM) -> "SymMatrix":
+    def from_array(raw) -> "SymMatrix":
         """Validate and symmetrize a square array.
 
-        Asymmetry up to tol_sym * max|entry| is averaged away; anything
+        Asymmetry up to TOL_SYM * max|entry| is averaged away; anything
         larger raises ValueError.
         """
         a = np.asarray(raw, dtype=float)
@@ -53,10 +53,10 @@ class SymMatrix:
             raise ValueError("matrix entries must be finite")
         scale = float(np.max(np.abs(a)))
         asym = float(np.max(np.abs(a - a.T)))
-        if asym > tol_sym * scale:
+        if asym > TOL_SYM * scale:
             raise ValueError(
                 f"matrix is asymmetric: max |A - A^T| = {asym:.3g} exceeds "
-                f"{tol_sym:g} * max|entry| = {tol_sym * scale:.3g}"
+                f"{TOL_SYM:g} * max|entry| = {TOL_SYM * scale:.3g}"
             )
         return SymMatrix(_freeze(0.5 * (a + a.T)))
 

@@ -15,11 +15,11 @@ The maximizer is found by a log-barrier method.  F is affine in x, so
 
     psi_t(x) = -2 t f(x) - sum log x_i - sum log(1 - x_i),   t >= 1,
 
-on the hyperplane e.x = s.  Each Newton step dx comes with a backtracking
-line search on psi_t: it first tries the full step, or 0.7 of the way to
-the box boundary when that is shorter, and halves the step until psi_t
-falls enough.  The damped step x + dx / (1 + lam), with lam the Newton
-decrement, ends the halving: self-concordance guarantees that it stays
+on the hyperplane e.x = s.  A Newton step dx whose decrement lam is at
+least 1/4 first tries the long step: the full step, or 0.7 of the way to
+the box boundary when that is shorter, kept when psi_t falls enough.
+Otherwise, and for every step with a smaller lam, it takes the damped
+step x + dx / (1 + lam): self-concordance guarantees that it stays
 inside the box and decreases psi_t.  Once an iterate is centred
 (lam < 1/4) the weight t grows by a fixed factor, until t is so large
 that the gap there is below the tolerance up to rounding.  Before t
@@ -45,7 +45,7 @@ The scaling search runs the same engine with psi = log(gamma) as one more,
 free, variable: f is convex in psi, so it takes joint Newton steps to the
 saddle point, max over x and min over psi (see _maximize_capped_simplex).
 A saddle point has no merit function to descend, so those steps keep the
-damping 1 / (1 + lam) and take no line search.
+damping 1 / (1 + lam) and try no long step.
 
 Everything here is a pure function of its inputs; solves on shared
 instances may run concurrently.
@@ -65,9 +65,8 @@ from .instance import Instance, Mask, _freeze
 NEG_INF = float("-inf")
 
 _CENTRED = 0.25      # Newton decrement below which an iterate counts as centred
-_BOX_FRACTION = 0.7  # share of the longest step inside the box that a line search tries first
-_ARMIJO = 0.1        # share of the predicted decrease of psi_t that a search step must make
-_BACKTRACK = 0.5     # factor by which a line search shortens a rejected step
+_BOX_FRACTION = 0.7  # share of the longest step inside the box that a long step takes
+_ARMIJO = 0.1        # share of the predicted decrease of psi_t that a long step must make
 _T_GROWTH = 8.0      # barrier weight factor per centred iterate
 _RATIO = 0.4         # drop in distance to a bound between centred iterates that fixes x_i
 _FACE_STEPS = 4      # Newton steps allowed on a predicted face
@@ -76,6 +75,7 @@ _PSI_RUNAWAY = 60.0  # distance from its start at which a carried psi has run aw
 
 SLOPE_TOL = 1e-7     # target for |f_psi| when psi is carried
 TOL_FEAS = 1e-10     # largest rounding drift of e.x away from s that is accepted
+TOL_BINARY = 1e-6    # distance to {0, 1} within which a coordinate counts as binary
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ class SolverOptions:
     tol_fw is the absolute target for the linearization (Frank-Wolfe)
     duality gap; None means 1e-8 * max(1, |f(x0)|), fixed at the uniform
     start x0.  max_iter caps the number of evaluations of f and its
-    derivatives: every line-search trial, a rejected one too, every face
+    derivatives: every trial step, a rejected long step too, every face
     step and a face finish's projected point count as one.
     A tol_fw not finite and positive or a max_iter below 1 is rejected.
     """
@@ -120,12 +120,12 @@ class BoundResult:
         return self.value + self.duality_gap
 
 
-def is_feasible(x, s: int, tol_feas: float = TOL_FEAS) -> bool:
-    """Membership test for P(n, s) up to tol_feas."""
+def is_feasible(x, s: int) -> bool:
+    """Membership test for P(n, s) up to TOL_FEAS."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < -tol_feas) or np.any(x > 1.0 + tol_feas):
+    if np.any(x < -TOL_FEAS) or np.any(x > 1.0 + TOL_FEAS):
         return False
-    return abs(float(x.sum()) - s) <= tol_feas
+    return abs(float(x.sum()) - s) <= TOL_FEAS
 
 
 def lmo_capped_simplex(g, s: int) -> np.ndarray:
@@ -158,6 +158,12 @@ def _check_gamma(gamma) -> float:
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValueError(f"gamma must be a finite positive number, got {gamma}")
     return float(gamma)
+
+
+def _check_mask(mask: Mask, n: int) -> None:
+    """Raises ValueError unless mask has order n."""
+    if mask.n != n:
+        raise ValueError(f"mask order {mask.n} does not match instance order {n}")
 
 
 def _is_diagonal(A) -> bool:
@@ -220,8 +226,7 @@ class _LinxProblem:
     """
 
     def __init__(self, inst: Instance, mask: Mask, gamma: float, s: int):
-        if mask.n != inst.n:
-            raise ValueError(f"mask order {mask.n} does not match instance order {inst.n}")
+        _check_mask(mask, inst.n)
         self.A = inst.C.entries * mask.matrix.entries
         self.n = inst.n
         self.gamma = _check_gamma(gamma)
@@ -445,64 +450,34 @@ def _barrier(x) -> float:
     return float(np.log(x * (1.0 - x)).sum())
 
 
-def _line_search(evaluate, x, dx, lam: float, t: float, merit: float, s: int, budget: int):
-    """Backtracking search on psi_t along its Newton direction dx.
-
-    The first trial is alpha = min(1, _BOX_FRACTION * alpha_box), with
-    alpha_box the longest step along dx inside the open box.  A trial is
-    accepted when psi_t drops by at least _ARMIJO * alpha * lam^2 from
-    merit, its value at x; otherwise alpha shrinks by _BACKTRACK.
-    Once alpha is at most 1/(1 + lam), the damped step there is taken
-    untested: self-concordance guarantees that it decreases psi_t.
-
-    Each trial point is one evaluate call.  The first is paid by the
-    caller, and budget more are allowed.  Returns (extra calls, (y, point,
-    barrier at y)) for the accepted point, and (extra calls, None) when
-    the budget runs out or rounding spoils the damped step.
-    """
-    floor = 1.0 / (1.0 + lam)
-    alpha = min(1.0, _BOX_FRACTION / float(np.maximum(-dx / x, dx / (1.0 - x)).max()))
-    calls = 0
-    while calls <= budget:
-        last = alpha <= floor
-        if last:
-            alpha = floor
-        y = _reproject(x + alpha * dx, s)
-        if y.min() > 0.0 and y.max() < 1.0:
-            calls += 1
-            point = evaluate(y, None)
-            if np.isfinite(point[0]):
-                by = _barrier(y)
-                if last or -2.0 * t * point[0] - by <= merit - _ARMIJO * alpha * lam * lam:
-                    return calls - 1, (y, point, by)
-        if last:
-            break
-        alpha *= _BACKTRACK
-    return max(calls - 1, 0), None
-
-
 def _maximize_capped_simplex(problem, n: int, s: int, opts: SolverOptions, psi=None):
     """Barrier-method core shared by the bound solvers.
 
     problem.derivatives(x) returns the value, gradient and Hessian of the
-    concave objective.  A Newton step whose decrement lam is at least
-    _CENTRED goes through _line_search, whose trials each cost one
-    derivatives call and whose accepted trial is the next iterate.  Each
-    centred iterate but the first tries _face_newton on the face that its
-    ratio to the previous centred iterate predicts, and returns that
-    face's point when it meets the tolerance; otherwise t grows and the
-    barrier goes on from x.  Stops when the linearization gap meets the
-    tolerance, when max_iter derivatives calls are spent, when a centred
-    iterate misses the tolerance with t above 8 n / tol (the gap there is
-    below n / (2 t) up to rounding, so a larger t cannot help), or when
-    rounding pushes a step out of the open box.
+    concave objective.  A Newton step dx whose decrement lam is at least
+    _CENTRED first tries the long step alpha = min(1, _BOX_FRACTION *
+    alpha_box), with alpha_box the longest step along dx inside the open
+    box, when alpha exceeds 1/(1 + lam); it keeps that step when psi_t
+    falls by at least _ARMIJO * alpha * lam^2, and carries psi_t's
+    log-sums at the kept point to the next step.  Every other step, and
+    the one after a rejected long step, is the damped step dx / (1 + lam),
+    which self-concordance keeps inside the box and descending.  Each
+    trial costs one derivatives call, and the kept trial's is the next
+    iterate's.  Each centred iterate but the first tries _face_newton on
+    the face that its ratio to the previous centred iterate predicts, and
+    returns that face's point when it meets the tolerance; otherwise t
+    grows and the barrier goes on from x.  Stops when the linearization
+    gap meets the tolerance, when max_iter derivatives calls are spent,
+    when a centred iterate misses the tolerance with t above 8 n / tol
+    (the gap there is below n / (2 t) up to rounding, so a larger t cannot
+    help), or when rounding pushes a step out of the open box.
 
     Given a starting psi, problem.derivatives(x, psi) must also return
     the psi-derivatives (as _LinxProblem's does), and the engine finds
     the saddle point, max over x and min over psi, of f(x, psi), which
     is convex in psi.  Each step, the face finish's too, is then the
     joint Newton step in (x, psi), damped by 1/(1 + max(lam, mu)) with mu
-    the decrement of the psi block, without a line search or a cap on t;
+    the decrement of the psi block, without a long step or a cap on t;
     t grows when both decrements are below _CENTRED; and the solve stops
     only when also |f_psi| <= SLOPE_TOL.  A psi farther than _PSI_RUNAWAY
     from its start raises RuntimeError.
@@ -541,20 +516,31 @@ def _maximize_capped_simplex(problem, n: int, s: int, opts: SolverOptions, psi=N
             prev = x
             t *= _T_GROWTH
             dx, dpsi, lam, mu = _newton_step(x, point, t)
-        if psi is None and lam >= _CENTRED:
-            if barrier is None:
-                barrier = _barrier(x)
-            budget = opts.max_iter - iters
-            merit = -2.0 * t * point[0] - barrier
-            calls, found = _line_search(evaluate, x, dx, lam, t, merit, s, budget)
-            iters += calls
-            if found is None:
-                break
-            x, point, barrier = found
-            continue
-        barrier = None
         damp = 1.0 + max(lam, mu)
-        xn = _reproject(x + dx / damp, s)
+        if psi is None and lam >= _CENTRED:
+            alpha = 1.0 / damp
+            long = min(1.0, _BOX_FRACTION / float(np.maximum(-dx / x, dx / (1.0 - x)).max()))
+            if long > alpha:
+                # the long step, kept when psi_t falls by _ARMIJO long lam^2
+                if barrier is None:
+                    barrier = _barrier(x)
+                merit = -2.0 * t * point[0] - barrier
+                xn = _reproject(x + long * dx, s)
+                if xn.min() > 0.0 and xn.max() < 1.0:
+                    pointn = evaluate(xn, None)
+                    if np.isfinite(pointn[0]):
+                        bn = _barrier(xn)
+                        if -2.0 * t * pointn[0] - bn <= merit - _ARMIJO * long * lam * lam:
+                            x, point, barrier = xn, pointn, bn
+                            continue
+                    if iters == opts.max_iter:
+                        break
+                    iters += 1  # the rejected trial
+            xn = x + alpha * dx  # the damped step; rounds unlike dx / damp below
+        else:
+            xn = x + dx / damp
+        barrier = None
+        xn = _reproject(xn, s)
         if not (xn.min() > 0.0 and xn.max() < 1.0):
             break  # rounding left the open box; x is the last good iterate
         psin = None
@@ -614,8 +600,8 @@ def solve_linx(
     return _result((x, value(x), gap, 0, gap <= tol, None), gamma, mask.label)
 
 
-def certify_gamma_optimal(result: BoundResult, tol_binary: float = 1e-6) -> bool:
-    """True when the converged maximizer is within tol_binary of binary.
+def certify_gamma_optimal(result: BoundResult) -> bool:
+    """True when the converged maximizer is within TOL_BINARY of binary.
 
     Because the relaxation is exact at binary points, a binary maximizer
     at some gamma pins the scaled bound to a value no scaling can beat,
@@ -625,4 +611,4 @@ def certify_gamma_optimal(result: BoundResult, tol_binary: float = 1e-6) -> bool
     if not result.converged:
         return False
     x = result.x_hat
-    return bool(np.all(np.minimum(x, 1.0 - x) <= tol_binary))
+    return bool(np.all(np.minimum(x, 1.0 - x) <= TOL_BINARY))

@@ -47,6 +47,7 @@ from .linx import (
     NEG_INF,
     SolverOptions,
     _cho_inverse,
+    _check_mask,
     _cholesky,
     _is_diagonal,
     _LinxProblem,
@@ -176,10 +177,11 @@ def optimize_gamma(
     linx.SLOPE_TOL.  That point is the result at gamma = e^psi: its x,
     f(x, psi), gap, steps and convergence, with no solve after it.  best
     is the psi_trace entry of least certified bound (value +
-    duality_gap).
+    duality_gap).  A mask whose order is not inst's raises ValueError.
     """
     s = int(s)
     mask = Mask.ones(inst.n) if mask is None else mask
+    _check_mask(mask, inst.n)
     if not np.any(mask.matrix.entries != 1.0):
         eff = inst
     else:

@@ -285,6 +285,17 @@ class TestErrorPaths:
         status, _ = _run(["bound", "--input", j2_file, "--s", "2"])
         assert status == 1
 
+    @pytest.mark.parametrize("command", [["gamma"], ["bound", "--gamma", "auto"]])
+    @pytest.mark.parametrize("mask", ["1\n1\n", I3])
+    def test_mask_order_must_match(self, j2_file, tmp_path, command, mask):
+        # a 1 x 1 mask broadcasts against C, so it must be caught by its order
+        mask_path = tmp_path / "mask.txt"
+        mask_path.write_text(mask)
+        argv = [*command, "--input", j2_file, "--s", "1", "--mask", f"file:{mask_path}"]
+        status, text = _run(argv)
+        assert status == 1
+        assert "does not match instance order 2" in text
+
     def test_invalid_gamma(self, j2_file):
         status, _ = _run(["bound", "--input", j2_file, "--s", "1", "--gamma", "-2"])
         assert status == 1

@@ -65,10 +65,19 @@ class TestPivotEquation:
 
     def test_residual_is_tiny_on_random_inputs(self):
         rng = np.random.default_rng(20)
+        inputs = []
         for _ in range(50):
             n = int(rng.integers(2, 12))
             s = int(rng.integers(1, n))
             side = rng.uniform(1.05, 3.0, n) if rng.uniform() < 0.5 else rng.uniform(0.2, 0.95, n)
+            inputs.append((side, s))
+        # blocks up to the gap rows' largest order, and blocks of tied entries
+        for n in (32, 64, 128, 256):
+            for side in (rng.uniform(1.05, 3.0, n), rng.uniform(0.2, 0.95, n)):
+                inputs.append((side, int(rng.integers(1, n))))
+                tied = rng.choice(side[:4], n)
+                inputs.append((tied, int(rng.integers(1, n))))
+        for side, s in inputs:
             d = np.sort(side)[::-1]
             try:
                 t = solve_xs_equation(d, s)

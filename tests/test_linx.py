@@ -20,6 +20,7 @@ from linxbound import (
     validate,
 )
 
+from linxbound import linx
 from linxbound.linx import _kkt_step, _LinxProblem
 
 from helpers import (
@@ -390,6 +391,25 @@ class TestLineSearch:
             res = solve_linx(inst, 16, opts=SolverOptions(max_iter=k))
             assert res.iterations <= k
             assert calls[0] <= k + 1
+
+    def test_damped_fallback(self, monkeypatch):
+        # no workload rejects a long step, so reject every one: each step
+        # then pays for its long trial and takes the damped step after it
+        calls = self._count_calls(monkeypatch)
+        for n in (8, 12, 32):
+            inst = _instance(gram_matrix(np.random.default_rng(0), n), n // 2)
+            kept = solve_linx(inst, n // 2).iterations
+            with monkeypatch.context() as patch:
+                patch.setattr(linx, "_ARMIJO", math.inf)
+                calls[0] = 0
+                res = solve_linx(inst, n // 2)
+                assert res.converged
+                assert calls[0] == res.iterations > kept
+                for k in range(1, 16):
+                    calls[0] = 0
+                    res = solve_linx(inst, n // 2, opts=SolverOptions(max_iter=k))
+                    assert res.iterations <= k
+                    assert calls[0] <= k + 1
 
     def test_unreachable_target_stops_early(self):
         # entries up to 3.4e3 and f about 116, so tol_fw = 1e-10 is about

@@ -65,6 +65,17 @@ class TestOptimizeGamma:
         assert search.gamma_hat == pytest.approx(3.0, abs=1e-12)
         assert search.converged
 
+    @pytest.mark.parametrize(
+        "entries,s", [(np.ones((2, 2)), 1), (np.ones((3, 3)), 2), (np.diag([2.0, 1.5, 0.5]), 1)]
+    )
+    def test_mask_order_must_match(self, entries, s):
+        # the s = rank, s > rank and interior regimes: a 1 x 1 mask broadcasts
+        # against C, and the first two build no _LinxProblem to reject it
+        inst = validate(SymMatrix.from_array(entries), s)
+        for order in (1, inst.n + 1):
+            with pytest.raises(ValueError, match="mask order"):
+                optimize_gamma(inst, s, Mask.identity(order))
+
     def test_limit_regime_returns_infinity_marker(self):
         inst = validate(SymMatrix.all_ones(2), 1)
         search = optimize_gamma(inst, 1)
