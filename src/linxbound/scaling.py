@@ -13,20 +13,18 @@ the subset size s compares with rank(C):
 
 In the interior regime the bound is min over psi = log(gamma) of max over
 x of f(x, psi), and f is concave in x and convex in psi, so the search is
-one convex-concave saddle problem, and each input takes one path to it:
+one convex-concave saddle problem, and each input takes one path to it
+and yields one result:
 
     separable C o M   (diagonal C, or the identity mask) one closed-form
                       solve at gamma = 1/d_s^2, where the bound is the sum
                       of the s largest log d_i, the subset optimum itself;
-    n = 2             the closed-form 2x2 candidate, whose binary maximizer
-                      certifies it (exactness at binary points);
     otherwise         the barrier engine carries psi next to x and takes
                       joint Newton steps on (x, psi) until the linearization
                       gap and |df/dpsi| both meet their targets; that saddle
                       point (x, psi) is the reported, certified bound at
                       gamma = e^psi, and nothing is solved after it.
 
-A 2x2 candidate that does not certify is followed by the saddle solve.
 The limit program supplies its own value, gradient and Hessian and is
 maximized by the same barrier engine as the linx bound.
 """
@@ -39,7 +37,7 @@ from enum import Enum
 
 import numpy as np
 
-from .diagonal import optimal_gamma_2x2, optimal_gamma_diagonal
+from .diagonal import optimal_gamma_diagonal
 from .instance import Instance, Mask, SymMatrix, validate
 from .linx import (
     DEFAULT_OPTIONS,
@@ -54,9 +52,9 @@ from .linx import (
     _logdet,
     _maximize_capped_simplex,
     _result,
-    certify_gamma_optimal,
     solve_linx,
 )
+
 
 class RegimeTag(Enum):
     INTERIOR_OPTIMUM = "InteriorOptimum"
@@ -75,23 +73,17 @@ class GammaRegime:
 class GammaSearchResult:
     """Outcome of the scaling search.
 
-    gamma_hat is math.inf for the two degenerate regimes.  psi_trace
-    records every bound the interior search computed, as (psi, value)
-    pairs in evaluation order: the closed-form solve of a separable C o M,
-    or the 2x2 candidate, or the saddle solve, or the 2x2 candidate
-    followed by the saddle solve when the candidate did not certify.  It
-    is empty in the two degenerate regimes, where rank alone decides the
-    answer (the limit program runs in the s = rank regime; nothing runs in
-    the s > rank regime, whose bound is -inf).  converged reports whether
-    each of those bounds met its gap target, and the saddle solve its
-    slope target too.  best is the entry at gamma_hat, the one of least
-    certified bound (value + duality_gap), and None in the two degenerate
-    regimes.
+    gamma_hat is math.inf for the two degenerate regimes, where rank alone
+    decides the answer (the limit program runs in the s = rank regime;
+    nothing runs in the s > rank regime, whose bound is -inf), and best is
+    None there.  In the interior regime best is the one result the search
+    computed, at gamma_hat: the closed-form solve of a separable C o M, or
+    the saddle solve.  converged reports whether that result met its gap
+    target, and the saddle solve its slope target too.
     """
 
     gamma_hat: float
     bound_value: float
-    psi_trace: tuple[tuple[float, float], ...]
     regime: GammaRegime
     converged: bool
     best: BoundResult | None = None
@@ -167,17 +159,15 @@ def optimize_gamma(
     The regime (and the limit program, when it applies) is keyed to the
     rank of the masked matrix C o M, since that is the matrix the bound
     actually sees.  In the interior regime a separable C o M takes one
-    closed-form solve_linx at gamma = 1/d_s^2, with iterations 0, and a
-    2x2 one the candidate of diagonal.optimal_gamma_2x2, which ends the
-    search when its maximizer is binary.  Otherwise
-    _maximize_capped_simplex, started at the psi that is optimal for the
-    diagonal of C o M, finds the saddle point (x, psi) of f, max over x
-    and min over psi = log(gamma), by joint Newton steps; it stops when
-    the linearization gap meets opts' target and |df/dpsi| <=
-    linx.SLOPE_TOL.  That point is the result at gamma = e^psi: its x,
-    f(x, psi), gap, steps and convergence, with no solve after it.  best
-    is the psi_trace entry of least certified bound (value +
-    duality_gap).  A mask whose order is not inst's raises ValueError.
+    closed-form solve_linx at gamma = 1/d_s^2, with iterations 0.  Any
+    other input, n = 2 included, goes to _maximize_capped_simplex, which,
+    started at the psi that is optimal for the diagonal of C o M, finds
+    the saddle point (x, psi) of f, max over x and min over psi =
+    log(gamma), by joint Newton steps; it stops when the linearization gap
+    meets opts' target and |df/dpsi| <= linx.SLOPE_TOL.  That point is
+    best, the result at gamma = e^psi: its x, f(x, psi), gap, steps and
+    convergence, with no solve after it.  A mask whose order is not
+    inst's raises ValueError.
     """
     s = int(s)
     mask = Mask.ones(inst.n) if mask is None else mask
@@ -192,7 +182,6 @@ def optimize_gamma(
         return GammaSearchResult(
             gamma_hat=math.inf,
             bound_value=NEG_INF,
-            psi_trace=(),
             regime=regime,
             converged=True,
         )
@@ -202,36 +191,23 @@ def optimize_gamma(
         return GammaSearchResult(
             gamma_hat=math.inf,
             bound_value=lim.value,
-            psi_trace=(),
             regime=regime,
             converged=lim.converged,
         )
 
-    a = eff.C.entries
     gamma_diag = optimal_gamma_diagonal(np.sort(eff.d)[::-1], s)
-    if _is_diagonal(a):
-        results = [solve_linx(inst, s, mask, gamma_diag, opts)]
+    if _is_diagonal(eff.C.entries):
+        best = solve_linx(inst, s, mask, gamma_diag, opts)
     else:
-        results = []
-        if eff.n == 2:
-            try:
-                gamma_2x2 = optimal_gamma_2x2(a[0, 0], a[1, 1], a[0, 1])
-            except ValueError:
-                pass
-            else:
-                results.append(solve_linx(inst, s, mask, gamma_2x2, opts))
-        if not any(certify_gamma_optimal(res) for res in results):
-            # start from the scaling that is optimal for the diagonal of C o M,
-            # which makes the solve independent of the scale of C
-            problem = _LinxProblem(inst, mask, 1.0, s)
-            out = _maximize_capped_simplex(problem, inst.n, s, opts, psi=math.log(gamma_diag))
-            results.append(_result(out, math.exp(out[5]), mask.label))
-    best = min(results, key=lambda res: res.upper_bound)
+        # start from the scaling that is optimal for the diagonal of C o M,
+        # which makes the solve independent of the scale of C
+        problem = _LinxProblem(inst, mask, 1.0, s)
+        out = _maximize_capped_simplex(problem, inst.n, s, opts, psi=math.log(gamma_diag))
+        best = _result(out, math.exp(out[5]), mask.label)
     return GammaSearchResult(
         gamma_hat=best.gamma,
         bound_value=best.value,
-        psi_trace=tuple((math.log(res.gamma), res.value) for res in results),
         regime=regime,
-        converged=all(res.converged for res in results),
+        converged=best.converged,
         best=best,
     )

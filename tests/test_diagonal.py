@@ -27,15 +27,17 @@ HALF = math.sqrt(2.0) / 2.0
 
 
 def _pivot_lhs(d, s, t):
-    """Independent evaluation of the pivot equation's left-hand side."""
+    """Independent evaluation of the pivot equation's left-hand side,
+    summed by math.fsum so that its own rounding stays far below the
+    residual bounds it checks."""
     c = 1.0 / (np.asarray(d, float) ** 2 - 1.0)
-    total = t
+    terms = [t]
     for i in range(len(d)):
         if i < s - 1:
-            total += min(1.0, t + c[s - 1] - c[i])
+            terms.append(min(1.0, t + c[s - 1] - c[i]))
         elif i >= s:
-            total += max(0.0, t + c[s - 1] - c[i])
-    return total
+            terms.append(max(0.0, t + c[s - 1] - c[i]))
+    return math.fsum(terms)
 
 
 class TestPivotEquation:

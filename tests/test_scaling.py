@@ -11,8 +11,11 @@ from linxbound import (
     RegimeTag,
     SolverOptions,
     SymMatrix,
+    certify_gamma_optimal,
     classify_regime,
+    exact_mesp,
     limit_linx_at_infinity,
+    optimal_gamma_2x2,
     optimize_gamma,
     solve_linx,
     validate,
@@ -28,6 +31,7 @@ from helpers import (
     gram_matrix,
     hessian_error,
     interior_point,
+    random_pd_2x2,
 )
 
 
@@ -57,13 +61,31 @@ class TestOptimizeGamma:
         assert search.gamma_hat == pytest.approx(0.25, abs=1e-15)
         assert search.bound_value == pytest.approx(math.log(2.0), abs=1e-10)
         assert search.regime.tag is RegimeTag.INTERIOR_OPTIMUM
-        assert len(search.psi_trace) == 1  # first probe already certifies
+        assert search.best.iterations == 0  # one closed-form solve
 
     def test_2x2_certificate(self):
-        inst = validate(SymMatrix.from_array([[2.0, 1.0], [1.0, 1.0]]), 1)
-        search = optimize_gamma(inst, 1)
-        assert search.gamma_hat == pytest.approx(3.0, abs=1e-12)
-        assert search.converged
+        # a 2x2 input takes the saddle solve; its gamma-hat is one point of
+        # an optimal interval (0.96 on [[2, 1], [1, 1]], where the closed
+        # form gives 3), so the checks are on the bound: certified by a
+        # binary maximizer, equal to the bound at optimal_gamma_2x2, and
+        # unchanged by a scaling of C (up to log alpha) or a swap
+        def instance(a, b, c):
+            return validate(SymMatrix.from_array([[a, c], [c, b]]), 1)
+
+        rng = np.random.default_rng(62)
+        for _ in range(100):
+            a, b, c = random_pd_2x2(rng)
+            inst = instance(a, b, c)
+            search = optimize_gamma(inst, 1)
+            best = search.best
+            assert search.converged and certify_gamma_optimal(best)
+            closed = solve_linx(inst, 1, gamma=optimal_gamma_2x2(a, b, c))
+            assert abs(best.upper_bound - closed.upper_bound) <= 1e-12
+            for alpha in (1e-3, 1e-2, 3.0, 1e2, 1e3):
+                scaled = optimize_gamma(instance(alpha * a, alpha * b, alpha * c), 1).best
+                assert abs(scaled.upper_bound - math.log(alpha) - best.upper_bound) <= 1e-12
+            swapped = optimize_gamma(instance(b, a, c), 1).best
+            assert abs(swapped.upper_bound - best.upper_bound) <= 1e-12
 
     @pytest.mark.parametrize(
         "entries,s", [(np.ones((2, 2)), 1), (np.ones((3, 3)), 2), (np.diag([2.0, 1.5, 0.5]), 1)]
@@ -89,7 +111,7 @@ class TestOptimizeGamma:
         assert search.regime.tag is RegimeTag.UNBOUNDED_BELOW
         assert search.gamma_hat == math.inf
         assert search.bound_value == float("-inf")
-        assert search.psi_trace == ()
+        assert search.best is None
 
     def test_unbounded_regime_probes_converge(self):
         # s > rank: the psi = 14 diagnostic probe used to stall unconverged
@@ -126,17 +148,6 @@ class TestOptimizeGamma:
         assert search.regime.tag is RegimeTag.INTERIOR_OPTIMUM
         assert search.bound_value == pytest.approx(0.0, abs=1e-9)
 
-    def test_returned_bound_beats_every_probe(self):
-        rng = np.random.default_rng(31)
-        for _ in range(5):
-            n = int(rng.integers(3, 7))
-            s = int(rng.integers(1, n))
-            inst = validate(SymMatrix.from_array(gram_matrix(rng, n)), s)
-            search = optimize_gamma(inst, s)
-            if search.regime.tag is RegimeTag.INTERIOR_OPTIMUM:
-                for _, val in search.psi_trace:
-                    assert search.bound_value <= val + 1e-8
-
     def test_dense_search_probe_count(self):
         rng = np.random.default_rng(37)
         for n in (8, 12, 16):
@@ -144,7 +155,7 @@ class TestOptimizeGamma:
             search = optimize_gamma(inst, n // 2)
             assert search.regime.tag is RegimeTag.INTERIOR_OPTIMUM
             assert search.converged
-            assert len(search.psi_trace) == 1
+            assert search.best.iterations > 0  # the saddle solve, not a closed form
 
     def test_dense_search_runs_no_solve(self, monkeypatch):
         # the saddle point is the reported bound; nothing is solved after it
@@ -162,22 +173,27 @@ class TestOptimizeGamma:
         # it does not certify, yet its value is the subset optimum
         inst = validate(SymMatrix.from_diagonal([3.0, 2.0, 2.0, 0.5, 0.7]), 2)
         search = optimize_gamma(inst, 2)
-        assert len(search.psi_trace) == 1
         assert search.best.iterations == 0
         assert search.gamma_hat == 0.25
         assert abs(search.bound_value - (math.log(3.0) + math.log(2.0))) <= 1e-12
         assert search.converged
 
-    def test_saddle_search_is_one_solve_at_the_optimum(self):
+    def test_saddle_search_is_one_solve_at_the_optimum(self, monkeypatch):
         # one joint (x, psi) solve replaces the bisection's 24 probes;
         # convexity in psi puts the neighbours of gamma-hat no lower than
         # the reported bound
+        calls = []
+        real = scaling._maximize_capped_simplex
+        monkeypatch.setattr(
+            scaling, "_maximize_capped_simplex", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
         rng = np.random.default_rng(41)
         for n in (8, 12, 16, 32):
             inst = validate(SymMatrix.from_array(gram_matrix(rng, n)), n // 2)
+            calls.clear()
             search = optimize_gamma(inst, n // 2)
             assert search.converged
-            assert len(search.psi_trace) <= 3
+            assert len(calls) == 1
             for step in (-0.01, 0.01):
                 near = solve_linx(inst, n // 2, gamma=search.gamma_hat * math.exp(step))
                 assert search.bound_value <= near.upper_bound
@@ -192,11 +208,10 @@ class TestOptimizeGamma:
         "entries,s",
         [(np.diag([3.0, 1.5, 1.5, 1.5, 0.2]), 2), ([[1.0, 0.5], [0.5, 1.0]], 1)],
     )
-    def test_best_has_the_least_certified_bound(self, entries, s, monkeypatch):
-        # the closed-form candidate leaves a non-binary maximizer in both
-        # cases; the diagonal one is still optimal and ends the search, the
-        # 2x2 one is followed by the saddle solve, and best is the entry of
-        # least value + duality_gap
+    def test_search_makes_one_result(self, entries, s, monkeypatch):
+        # the diagonal input takes the closed form, whose maximizer splits
+        # the tied block, and the 2x2 one the saddle solve; either way the
+        # search builds one result, and best is it
         results = []
         for name in ("solve_linx", "_result"):
             real = getattr(scaling, name)
@@ -205,10 +220,25 @@ class TestOptimizeGamma:
             )
         inst = validate(SymMatrix.from_array(entries), s)
         search = optimize_gamma(inst, s)
-        assert len(search.psi_trace) == len(results) == (1 if inst.n > 2 else 2)
-        for (psi, value), res in zip(search.psi_trace, results):
-            assert (psi, value) == (math.log(res.gamma), res.value)
-            assert search.best.upper_bound <= res.upper_bound
+        assert len(results) == 1
+        assert search.best is results[0]
+        assert (search.gamma_hat, search.bound_value) == (results[0].gamma, results[0].value)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="rounding in the dense logdet F at gamma near 1e16 lets a converged "
+        "search report a bound below the optimum",
+    )
+    @pytest.mark.parametrize("seed,n,s", [(6, 4, 3), (21, 5, 4)])
+    def test_converged_search_bounds_the_optimum(self, seed, n, s):
+        # a near rank-one C: the search converges with gap 0 at gamma-hat
+        # about 8e15, yet its bound sits 6e-3 (seed 6) and 9.5e-4 (seed 21)
+        # below the subset optimum
+        c = 0.01 * (gram_matrix(np.random.default_rng(seed), n, 1) + 1e-6 * np.eye(n))
+        inst = validate(SymMatrix.from_array(c), s)
+        search = optimize_gamma(inst, s)
+        exact = exact_mesp(inst, s).value
+        assert search.best.upper_bound >= exact - 1e-9 * max(1.0, abs(exact))
 
     def test_best_is_the_probe_at_gamma_hat(self):
         rng = np.random.default_rng(38)
