@@ -204,20 +204,32 @@ def _cho_inverse(chol):
 
 
 class _LinxProblem:
-    """Evaluation machinery for one (instance, mask, gamma) triple.
+    """Evaluation machinery for one (instance, mask, gamma) triple, or
+    for another program of the same split form.
 
-    One factorization per iterate serves the objective, the gradient and
-    the Hessian.  With A = C o M, W = F^-1, P = A W and K = A W A,
+    It evaluates f(x) = 0.5 * (logdet F(x) - shift) for
 
-        grad = 0.5 * (gamma diag(K) - diag(W)),
-        hess = -0.5 * (gamma^2 K o K - gamma (P o P + P^T o P^T) + W o W).
+        F(x) = gamma U^T X U + V^T (I - X) V,    X = Diag(x),
 
-    The same W and P give the derivatives in psi = log(gamma): with
-    d = e - x, dF/dpsi = F - Diag(d), so
+    where V absent means V = I.  One factorization per iterate serves the
+    objective, the gradient and the Hessian.  With W = F^-1, K = U W U^T,
+    P = U W V^T and N = V W V^T,
+
+        grad = 0.5 * (gamma diag(K) - diag(N)),
+        hess = -0.5 * (gamma^2 K o K - gamma (P o P + P^T o P^T) + N o N).
+
+    The linx program is U = A = C o M, V = I (so P = A W and N = W) and
+    shift = s log(gamma).  split builds the other forms: the gamma -> inf
+    limit program of scaling.py is one of them.
+
+    With V = I the same W and P give the derivatives in psi = log(gamma):
+    with d = e - x, dF/dpsi = F - Diag(d), so
 
         f_psi    = 0.5 * (n - s - d . diag(W)),
         f_psipsi = 0.5 * (d . diag(W) - d . (W o W) d),
         f_xpsi   = 0.5 * (diag(W) + gamma (P o P) d - (W o W) d).
+
+    They hold for V = I only; no split problem is given a psi.
 
     A diagonal A takes the same formulas; solve_linx and the scaling
     search send it to the closed form instead, but linx_objective and
@@ -225,13 +237,24 @@ class _LinxProblem:
     positive is rejected here, for every caller.
     """
 
+    V = None
+
     def __init__(self, inst: Instance, mask: Mask, gamma: float, s: int):
         _check_mask(mask, inst.n)
-        self.A = inst.C.entries * mask.matrix.entries
+        self.U = self.Ut = inst.C.entries * mask.matrix.entries  # A^T = A
         self.n = inst.n
         self.gamma = _check_gamma(gamma)
         self.s = s
         self.shift = s * math.log(self.gamma)
+
+    @classmethod
+    def split(cls, U, V, s: int, shift: float):
+        """The problem f(x) = 0.5 * (logdet F(x) - shift) of
+        F(x) = U^T X U + V^T (I - X) V, at gamma = 1."""
+        problem = cls.__new__(cls)
+        problem.U, problem.Ut, problem.V = U, U.T, V
+        problem.n, problem.gamma, problem.s, problem.shift = U.shape[0], 1.0, s, shift
+        return problem
 
     def derivatives(self, x, psi=None):
         """(value, gradient, Hessian) of f at x; (-inf, None, None) where
@@ -244,25 +267,30 @@ class _LinxProblem:
             gam, shift = self.gamma, self.shift
         else:
             gam, shift = math.exp(psi), self.s * psi
-        F = gam * ((self.A * x) @ self.A)
-        F.flat[:: self.n + 1] += 1.0 - x
+        V = self.V
+        F = gam * ((self.Ut * x) @ self.U)
+        if V is None:
+            F.flat[:: self.n + 1] += 1.0 - x
+        else:
+            F += (V.T * (1.0 - x)) @ V
         chol = _cholesky(F)
         if chol is None:
             return NEG_INF, None, None
         W = _cho_inverse(chol)
-        P = self.A @ W
-        K = P @ self.A
-        WW, PP, wdiag = W * W, P * P, W.diagonal()
-        grad = 0.5 * (gam * K.diagonal() - wdiag)
-        hess = -0.5 * (gam * gam * (K * K) - gam * (PP + PP.T) + WW)
+        UW = self.U @ W
+        K = UW @ self.Ut
+        P, N = (UW, W) if V is None else (UW @ V.T, V @ W @ V.T)
+        NN, PP, ndiag = N * N, P * P, N.diagonal()
+        grad = 0.5 * (gam * K.diagonal() - ndiag)
+        hess = -0.5 * (gam * gam * (K * K) - gam * (PP + PP.T) + NN)
         out = (0.5 * (_logdet(chol) - shift), grad, hess)
         if psi is None:
             return out
         d = 1.0 - x
-        dw, wwd = float(d @ wdiag), WW @ d
+        dw, wwd = float(d @ ndiag), NN @ d
         f_psi = 0.5 * (self.n - self.s - dw)
         f_pp = 0.5 * (dw - float(d @ wwd))
-        f_xp = 0.5 * (wdiag + gam * (PP @ d) - wwd)
+        f_xp = 0.5 * (ndiag + gam * (PP @ d) - wwd)
         return out + ((f_psi, f_pp, f_xp),)
 
 
@@ -454,26 +482,30 @@ def _maximize_capped_simplex(problem, n: int, s: int, opts: SolverOptions, psi=N
     """Barrier-method core shared by the bound solvers.
 
     problem.derivatives(x) returns the value, gradient and Hessian of the
-    concave objective.  A Newton step dx whose decrement lam is at least
-    _CENTRED first tries the long step alpha = min(1, _BOX_FRACTION *
-    alpha_box), with alpha_box the longest step along dx inside the open
-    box, when alpha exceeds 1/(1 + lam); it keeps that step when psi_t
-    falls by at least _ARMIJO * alpha * lam^2, and carries psi_t's
-    log-sums at the kept point to the next step.  Every other step, and
-    the one after a rejected long step, is the damped step dx / (1 + lam),
-    which self-concordance keeps inside the box and descending.  Each
-    trial costs one derivatives call, and the kept trial's is the next
-    iterate's.  Each centred iterate but the first tries _face_newton on
-    the face that its ratio to the previous centred iterate predicts, and
-    returns that face's point when it meets the tolerance; otherwise t
-    grows and the barrier goes on from x.  Stops when the linearization
-    gap meets the tolerance, when max_iter derivatives calls are spent,
-    when a centred iterate misses the tolerance with t above 8 n / tol
-    (the gap there is below n / (2 t) up to rounding, so a larger t cannot
-    help), or when rounding pushes a step out of the open box.
+    concave objective: a _LinxProblem, of the linx program or of another
+    split form F(x) = U^T X U + V^T (I - X) V.  A Newton step dx whose
+    decrement lam is at least _CENTRED first tries the long step alpha =
+    min(1, _BOX_FRACTION * alpha_box), with alpha_box the longest step
+    along dx inside the open box, when alpha exceeds 1/(1 + lam); it keeps
+    that step when psi_t falls by at least _ARMIJO * alpha * lam^2, and
+    carries psi_t's log-sums at the kept point to the next step.  Every
+    other step, and the one after a rejected long step, is the damped step
+    dx / (1 + lam), which self-concordance keeps inside the box and
+    descending.  Each trial costs one derivatives call, and the kept
+    trial's is the next iterate's.  Each centred iterate but the first
+    tries _face_newton on the face that its ratio to the previous centred
+    iterate predicts, and returns that face's point when it meets the
+    tolerance; otherwise t grows and the barrier goes on from x.  Stops
+    when the linearization gap meets the tolerance, when max_iter
+    derivatives calls are spent, when a centred iterate misses the
+    tolerance with t above 8 n / tol (the gap there is below n / (2 t) up
+    to rounding, so a larger t cannot help), or when rounding pushes a
+    step out of the open box.
 
     Given a starting psi, problem.derivatives(x, psi) must also return
-    the psi-derivatives (as _LinxProblem's does), and the engine finds
+    the psi-derivatives (as _LinxProblem's does for V = I, the linx
+    program; a split-form problem such as the limit program is never
+    given a psi), and the engine finds
     the saddle point, max over x and min over psi, of f(x, psi), which
     is convex in psi.  Each step, the face finish's too, is then the
     joint Newton step in (x, psi), damped by 1/(1 + max(lam, mu)) with mu
@@ -586,9 +618,9 @@ def solve_linx(
     if not 0 < s < inst.n:
         raise ValueError(f"need 0 < s < n, got s={s}, n={inst.n}")
     problem = _LinxProblem(inst, mask, gamma, s)
-    if not _is_diagonal(problem.A):
+    if not _is_diagonal(problem.U):
         return _result(_maximize_capped_simplex(problem, inst.n, s, opts), gamma, mask.label)
-    a = problem.A.diagonal()
+    a = problem.U.diagonal()
     x = solve_diagonal_linx(math.sqrt(problem.gamma) * a, s).x_hat
     coef = problem.gamma * a * a - 1.0
 

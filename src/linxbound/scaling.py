@@ -25,8 +25,9 @@ and yields one result:
                       point (x, psi) is the reported, certified bound at
                       gamma = e^psi, and nothing is solved after it.
 
-The limit program supplies its own value, gradient and Hessian and is
-maximized by the same barrier engine as the linx bound.
+The limit program is the linx evaluator's split form at gamma = 1 (see
+_limit_problem and linx._LinxProblem), so it needs no linear algebra of its
+own and is maximized by the same barrier engine as the linx bound.
 """
 
 from __future__ import annotations
@@ -44,12 +45,9 @@ from .linx import (
     BoundResult,
     NEG_INF,
     SolverOptions,
-    _cho_inverse,
     _check_mask,
-    _cholesky,
     _is_diagonal,
     _LinxProblem,
-    _logdet,
     _maximize_capped_simplex,
     _result,
     solve_linx,
@@ -102,38 +100,22 @@ def classify_regime(inst: Instance, s: int) -> GammaRegime:
     return GammaRegime(tag=tag, rank=inst.rank, s=s)
 
 
-class _LimitProblem:
-    """Objective of the infinite-scaling program, in eigenbasis terms.
+def _limit_problem(inst: Instance, s: int) -> _LinxProblem:
+    """The infinite-scaling program for s = rank(C), as a split-form
+    _LinxProblem.
 
-    With C = Q Lam Q^T of rank s and P(x) = Q^T Diag(x) Q, maximize
+    With C = Q Lam Q^T of rank s, U = Q Diag(1_s, 0), V = Q - U and
+    P(x) = Q^T X Q, F(x) = U^T X U + V^T (I - X) V is block-diag(P_s(x),
+    I - P_rest(x)), with P_s the leading s x s block of P and P_rest the
+    trailing one.  So the program maximizes
 
         0.5 * ( logdet(Lam_s P_s(x) Lam_s) + logdet(I - P_rest(x)) )
 
-    over P(n, s), where P_s is the leading s x s block of P and P_rest
-    the trailing block.  With Rs = Qs P_s^-1 Qs^T and R2 = Q2 (I -
-    P_rest)^-1 Q2^T, the gradient is 0.5 * (diag(Rs) - diag(R2)) and the
-    Hessian -0.5 * (Rs o Rs + R2 o R2); the program runs on the same
-    barrier engine as the linx bound.
+    over P(n, s), with shift = -2 sum_{i <= s} log lam_i.
     """
-
-    def __init__(self, inst: Instance, s: int):
-        self.Qs = inst.eigvecs[:, :s]
-        self.Q2 = inst.eigvecs[:, s:]
-        self.const = 2.0 * float(np.sum(np.log(inst.eigvals[:s])))
-
-    def derivatives(self, x):
-        ps = self.Qs.T @ (self.Qs * x[:, None])
-        m2 = -(self.Q2.T @ (self.Q2 * x[:, None]))
-        m2.flat[:: m2.shape[0] + 1] += 1.0
-        lp = _cholesky(ps)
-        lm = _cholesky(m2)
-        if lp is None or lm is None:
-            return NEG_INF, None, None
-        rs = self.Qs @ _cho_inverse(lp) @ self.Qs.T
-        r2 = self.Q2 @ _cho_inverse(lm) @ self.Q2.T
-        val = 0.5 * (self.const + _logdet(lp) + _logdet(lm))
-        grad = 0.5 * (np.diagonal(rs) - np.diagonal(r2))
-        return val, grad, -0.5 * (rs * rs + r2 * r2)
+    U = inst.eigvecs * (np.arange(inst.n) < s)
+    shift = -2.0 * float(np.sum(np.log(inst.eigvals[:s])))
+    return _LinxProblem.split(U, inst.eigvecs - U, s, shift)
 
 
 def limit_linx_at_infinity(
@@ -145,7 +127,7 @@ def limit_linx_at_infinity(
         raise ValueError(f"need 0 < s < n, got s={s}, n={inst.n}")
     if s != inst.rank:
         raise ValueError(f"limit program requires s = rank, got s={s}, rank={inst.rank}")
-    return _result(_maximize_capped_simplex(_LimitProblem(inst, s), inst.n, s, opts), math.inf, "J")
+    return _result(_maximize_capped_simplex(_limit_problem(inst, s), inst.n, s, opts), math.inf, "J")
 
 
 def optimize_gamma(

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from linxbound import (  # noqa: E402
     Mask,
     RegimeTag,
     SymMatrix,
     exact_mesp,
+    limit_linx_at_infinity,
     linx_objective,
     optimize_gamma,
     solve_linx,
@@ -72,3 +73,30 @@ def test_fixed_gamma_solve_converges_above_the_oracle(case, u):
     assert res.converged
     opt = exact_mesp(inst, s).value
     assert res.upper_bound >= opt - 1e-9 * max(1.0, abs(opt))
+
+
+@st.composite
+def rank_deficient_instances(draw, max_n=8):
+    """(instance, r): a Gram matrix of order 3 to max_n and rank r < n,
+    validated at s = r."""
+    n = draw(st.integers(3, max_n))
+    r = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inst = validate(SymMatrix.from_array(gram_matrix(rng, n, r)), r)
+    assume(inst.rank == r)
+    return inst, r
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rank_deficient_instances())
+def test_limit_bounds_the_optimum_and_sits_below_finite_scalings(case):
+    inst, r = case
+    lim = limit_linx_at_infinity(inst, r)
+    assert lim.converged
+    opt = exact_mesp(inst, r).value
+    assert lim.upper_bound >= opt - 1e-9 * max(1.0, abs(opt))
+    # at s = rank the bound does not increase in gamma, so no finite scaling
+    # certifies less than the limit
+    for gamma in (1.0, 1e3):
+        res = solve_linx(inst, r, gamma=gamma)
+        assert lim.value <= res.upper_bound + 1e-9 * max(1.0, abs(lim.value))

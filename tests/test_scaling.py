@@ -1,5 +1,6 @@
 """Scaling search, regime classification, and the infinite-scaling limit."""
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -23,7 +24,7 @@ from linxbound import (
 
 from linxbound import scaling
 from linxbound.linx import _LinxProblem
-from linxbound.scaling import _LimitProblem
+from linxbound.scaling import _limit_problem
 
 from helpers import (
     correlation_matrix,
@@ -419,8 +420,27 @@ class TestLimitProgram:
             n = int(rng.integers(3, 9))
             r = int(rng.integers(1, n))
             inst = validate(SymMatrix.from_array(gram_matrix(rng, n, r)), r)
-            problem = _LimitProblem(inst, r)
+            problem = _limit_problem(inst, r)
             assert hessian_error(problem, interior_point(rng, n, r)) <= 1e-5
+
+    def test_exact_at_binary_points(self):
+        # f(1_S) = logdet C[S, S] for every s-subset S with a usable block;
+        # this checks the limit program's value against an independent formula
+        rng = np.random.default_rng(36)
+        for _ in range(20):
+            n = int(rng.integers(3, 9))
+            r = int(rng.integers(1, n))
+            C = gram_matrix(rng, n, r)
+            inst = validate(SymMatrix.from_array(C), r)
+            problem = _limit_problem(inst, r)
+            for S in itertools.combinations(range(n), r):
+                block = C[np.ix_(S, S)]
+                if np.linalg.cond(block) >= 1e6:
+                    continue
+                x = np.zeros(n)
+                x[list(S)] = 1.0
+                want = np.linalg.slogdet(block)[1]
+                assert abs(problem.derivatives(x)[0] - want) <= 1e-9 * max(1.0, abs(want))
 
     def test_rejects_s_not_equal_rank(self):
         inst = validate(SymMatrix.identity(3), 1)
