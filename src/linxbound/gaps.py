@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg as sla
 
 from .diagonal import _check_2x2_psd, optimal_mask_2x2
 from .instance import Mask, SymMatrix, validate
@@ -57,6 +56,15 @@ class GapReportRow:
     converged: bool
 
 
+def _blocks_2x2(diag: float, off) -> np.ndarray:
+    """Block-diagonal matrix of the 2x2 blocks [[diag, c], [c, diag]], one
+    per entry c of off, in order."""
+    mat = diag * np.eye(2 * len(off))
+    rows = np.arange(len(mat))
+    mat[rows, rows ^ 1] = np.repeat(off, 2)
+    return mat
+
+
 def build_maskgap_instance(n: int) -> SymMatrix:
     """Block-diagonal matrix of n/2 all-(sqrt(2)/2) 2x2 blocks.
 
@@ -65,8 +73,8 @@ def build_maskgap_instance(n: int) -> SymMatrix:
     """
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and at least 2, got {n}")
-    block = (math.sqrt(2.0) / 2.0) * np.ones((2, 2))
-    return SymMatrix.from_array(sla.block_diag(*([block] * (n // 2))))
+    v = math.sqrt(2.0) / 2.0
+    return SymMatrix.from_array(_blocks_2x2(v, np.full(n // 2, v)))
 
 
 def build_scaledgap_instance(n: int, c1: float = 0.0, c2: float = 1.0) -> SymMatrix:
@@ -82,9 +90,7 @@ def build_scaledgap_instance(n: int, c1: float = 0.0, c2: float = 1.0) -> SymMat
         raise ValueError("block correlations must satisfy c^2 <= 1")
     if c1 * c1 == c2 * c2:
         raise ValueError("need c1^2 != c2^2")
-    corrs = [c1] * (n // 4) + [c2] * (n // 4)
-    blocks = [np.array([[1.0, c], [c, 1.0]]) for c in corrs]
-    return SymMatrix.from_array(sla.block_diag(*blocks))
+    return SymMatrix.from_array(_blocks_2x2(1.0, np.repeat([c1, c2], n // 4)))
 
 
 def scaled_gap_floor(c1: float, c2: float) -> tuple[float, float]:

@@ -17,24 +17,24 @@ The maximizer is found by a log-barrier method.  F is affine in x, so
 
 on the hyperplane e.x = s.  A Newton step dx whose decrement lam is at
 least 1/4 first tries the long step: the full step, or 0.7 of the way to
-the box boundary when that is shorter, kept when psi_t falls enough.
-Otherwise, and for every step with a smaller lam, it takes the damped
-step x + dx / (1 + lam): self-concordance guarantees that it stays
-inside the box and decreases psi_t.  Once an iterate is centred
-(lam < 1/4) the weight t grows by a fixed factor, until t is so large
-that the gap there is below the tolerance up to rounding.  Before t
-grows, every centred iterate after the first
-predicts the face of the optimum from its ratio to the previous one (a
-Tapia indicator: a coordinate headed for a bound shrinks its distance to
-it about as fast as t grows, an interior one keeps its value), fixes
-those coordinates at their bounds, and runs a few equality-constrained
-Newton steps on f alone over the rest, or over the whole polytope when
-nothing is fixed.  A point of that face which meets the tolerance ends
-the solve, so coordinates that belong at 0 or 1 come out exactly there,
-and an interior optimum is reached without driving t to 1/tol.
-Convergence is certified independently of the method by the
-standard linearization gap max_v grad(x) . (v - x) over the vertices v of
-P(n, s), which upper-bounds the suboptimality of x.
+the box boundary when that is shorter, kept when the Newton decrement
+there is no larger than lam.  Otherwise, and for every step with a smaller
+lam, it takes the damped step x + dx / (1 + lam): self-concordance
+guarantees that it stays inside the box and decreases psi_t.  Once an
+iterate is centred (lam < 1/4) the weight t grows by a fixed factor, until
+t is so large that the gap there is below the tolerance up to rounding.
+Before t grows, every centred iterate after the first predicts the face of
+the optimum from its ratio to the previous one (a Tapia indicator: a
+coordinate headed for a bound shrinks its distance to it about as fast as
+t grows, an interior one keeps its value), fixes those coordinates at
+their bounds, and runs a few equality-constrained Newton steps on f alone
+over the rest, or over the whole polytope when nothing is fixed.  A point
+of that face which meets the tolerance ends the solve, so coordinates that
+belong at 0 or 1 come out exactly there, and an interior optimum is
+reached without driving t to 1/tol.  Convergence is certified
+independently of the method by the standard linearization gap max_v
+grad(x) . (v - x) over the vertices v of P(n, s), which upper-bounds the
+suboptimality of x.
 
 When C o M is diagonal the objective separates, and solve_linx returns
 the closed-form maximizer of diagonal.solve_diagonal_linx instead: with
@@ -44,8 +44,9 @@ unscaled one of Diag(sqrt(gamma) a), shifted by -s log(gamma) / 2.
 The scaling search runs the same engine with psi = log(gamma) as one more,
 free, variable: f is convex in psi, so it takes joint Newton steps to the
 saddle point, max over x and min over psi (see _maximize_capped_simplex).
-A saddle point has no merit function to descend, so those steps keep the
-damping 1 / (1 + lam) and try no long step.
+A saddle point has no merit function to descend, but the long-step rule
+needs none: it compares Newton decrements, so the joint steps try the
+same long step, with the decrement max(lam, mu) of x and psi together.
 
 Everything here is a pure function of its inputs; solves on shared
 instances may run concurrently.
@@ -66,7 +67,7 @@ NEG_INF = float("-inf")
 
 _CENTRED = 0.25      # Newton decrement below which an iterate counts as centred
 _BOX_FRACTION = 0.7  # share of the longest step inside the box that a long step takes
-_ARMIJO = 0.1        # share of the predicted decrease of psi_t that a long step must make
+_KEEP = 1.0          # largest ratio of a long step's Newton decrement to the last that keeps it
 _T_GROWTH = 8.0      # barrier weight factor per centred iterate
 _RATIO = 0.4         # drop in distance to a bound between centred iterates that fixes x_i
 _FACE_STEPS = 4      # Newton steps allowed on a predicted face
@@ -473,11 +474,6 @@ def _face_newton(evaluate, x, prev, point, psi, s: int, tol: float, budget: int)
     return calls, None
 
 
-def _barrier(x) -> float:
-    """sum log x_i + sum log(1 - x_i), the log-sums of psi_t."""
-    return float(np.log(x * (1.0 - x)).sum())
-
-
 def _maximize_capped_simplex(problem, n: int, s: int, opts: SolverOptions, psi=None):
     """Barrier-method core shared by the bound solvers.
 
@@ -486,20 +482,21 @@ def _maximize_capped_simplex(problem, n: int, s: int, opts: SolverOptions, psi=N
     split form F(x) = U^T X U + V^T (I - X) V.  A Newton step dx whose
     decrement lam is at least _CENTRED first tries the long step alpha =
     min(1, _BOX_FRACTION * alpha_box), with alpha_box the longest step
-    along dx inside the open box, when alpha exceeds 1/(1 + lam); it keeps
-    that step when psi_t falls by at least _ARMIJO * alpha * lam^2, and
-    carries psi_t's log-sums at the kept point to the next step.  Every
-    other step, and the one after a rejected long step, is the damped step
-    dx / (1 + lam), which self-concordance keeps inside the box and
-    descending.  Each trial costs one derivatives call, and the kept
-    trial's is the next iterate's.  Each centred iterate but the first
-    tries _face_newton on the face that its ratio to the previous centred
-    iterate predicts, and returns that face's point when it meets the
-    tolerance; otherwise t grows and the barrier goes on from x.  Stops
-    when the linearization gap meets the tolerance, when max_iter
-    derivatives calls are spent, when a centred iterate misses the
-    tolerance with t above 8 n / tol (the gap there is below n / (2 t) up
-    to rounding, so a larger t cannot help), or when rounding pushes a
+    along dx inside the open box, when alpha exceeds 1/(1 + lam).  It
+    evaluates the trial point and its Newton step at the same t, and keeps
+    the trial when that step's decrement is at most _KEEP * lam, i.e.
+    does not grow; the kept trial's evaluation and step are the next
+    iteration's.  Every other step, and the one after a rejected trial, is
+    the damped step dx / (1 + lam), which self-concordance keeps inside
+    the box and descending.  So each trial costs one derivatives call, and
+    a rejected one counts as an iteration of its own.  Each centred
+    iterate but the first tries _face_newton on the face that its ratio to
+    the previous centred iterate predicts, and returns that face's point
+    when it meets the tolerance; otherwise t grows and the barrier goes on
+    from x.  Stops when the linearization gap meets the tolerance, when
+    max_iter derivatives calls are spent, when a centred iterate misses
+    the tolerance with t above 8 n / tol (the gap there is below n / (2 t)
+    up to rounding, so a larger t cannot help), or when rounding pushes a
     step out of the open box.
 
     Given a starting psi, problem.derivatives(x, psi) must also return
@@ -508,10 +505,13 @@ def _maximize_capped_simplex(problem, n: int, s: int, opts: SolverOptions, psi=N
     given a psi), and the engine finds
     the saddle point, max over x and min over psi, of f(x, psi), which
     is convex in psi.  Each step, the face finish's too, is then the
-    joint Newton step in (x, psi), damped by 1/(1 + max(lam, mu)) with mu
-    the decrement of the psi block, without a long step or a cap on t;
-    t grows when both decrements are below _CENTRED; and the solve stops
-    only when also |f_psi| <= SLOPE_TOL.  A psi farther than _PSI_RUNAWAY
+    joint Newton step (dx, dpsi), and max(lam, mu), with mu the decrement
+    of the psi block, takes lam's place above: in the damping, in the
+    long step's rule (which moves psi by alpha dpsi and is rejected when
+    that puts psi farther than _PSI_RUNAWAY from its start) and in the
+    centring test, so t grows when both decrements are below _CENTRED.
+    There is no cap on t, and the solve stops only when also |f_psi| <=
+    SLOPE_TOL.  A damped step that puts psi farther than _PSI_RUNAWAY
     from its start raises RuntimeError.
 
     Returns (x, f, gap, iterations, converged, psi), psi None when it is
@@ -529,12 +529,12 @@ def _maximize_capped_simplex(problem, n: int, s: int, opts: SolverOptions, psi=N
     t_cap = 8.0 * n / tol
     t = 1.0
     iters = 0
-    barrier = None
+    step = None  # a kept long step's Newton step, computed at the same t
     while iters < opts.max_iter:
         iters += 1
         if _met(point, x, s, tol):
             break
-        dx, dpsi, lam, mu = _newton_step(x, point, t)
+        dx, dpsi, lam, mu = step or _newton_step(x, point, t)
         if max(lam, mu) < _CENTRED:
             if prev is not None:
                 budget = opts.max_iter - iters
@@ -548,30 +548,28 @@ def _maximize_capped_simplex(problem, n: int, s: int, opts: SolverOptions, psi=N
             prev = x
             t *= _T_GROWTH
             dx, dpsi, lam, mu = _newton_step(x, point, t)
-        damp = 1.0 + max(lam, mu)
-        if psi is None and lam >= _CENTRED:
-            alpha = 1.0 / damp
-            long = min(1.0, _BOX_FRACTION / float(np.maximum(-dx / x, dx / (1.0 - x)).max()))
-            if long > alpha:
-                # the long step, kept when psi_t falls by _ARMIJO long lam^2
-                if barrier is None:
-                    barrier = _barrier(x)
-                merit = -2.0 * t * point[0] - barrier
-                xn = _reproject(x + long * dx, s)
-                if xn.min() > 0.0 and xn.max() < 1.0:
-                    pointn = evaluate(xn, None)
+        dec = max(lam, mu)
+        damp = 1.0 + dec
+        if dec >= _CENTRED:
+            alpha = min(1.0, _BOX_FRACTION / float(np.maximum(-dx / x, dx / (1.0 - x)).max()))
+            if alpha > 1.0 / damp:
+                # the long step, kept when the Newton decrement does not grow there
+                xn = _reproject(x + alpha * dx, s)
+                psin = None if psi is None else psi + alpha * dpsi
+                held = psi is None or abs(psin - psi0) <= _PSI_RUNAWAY
+                if held and xn.min() > 0.0 and xn.max() < 1.0:
+                    pointn = evaluate(xn, psin)
                     if np.isfinite(pointn[0]):
-                        bn = _barrier(xn)
-                        if -2.0 * t * pointn[0] - bn <= merit - _ARMIJO * long * lam * lam:
-                            x, point, barrier = xn, pointn, bn
+                        stepn = _newton_step(xn, pointn, t)
+                        if max(stepn[2], stepn[3]) <= _KEEP * dec:
+                            x, psi, point, step = xn, psin, pointn, stepn
                             continue
                     if iters == opts.max_iter:
                         break
                     iters += 1  # the rejected trial
-            xn = x + alpha * dx  # the damped step; rounds unlike dx / damp below
+            xn = x + (1.0 / damp) * dx  # the damped step; rounds unlike dx / damp below
         else:
             xn = x + dx / damp
-        barrier = None
         xn = _reproject(xn, s)
         if not (xn.min() > 0.0 and xn.max() < 1.0):
             break  # rounding left the open box; x is the last good iterate
@@ -583,7 +581,7 @@ def _maximize_capped_simplex(problem, n: int, s: int, opts: SolverOptions, psi=N
         pointn = evaluate(xn, psin)
         if not np.isfinite(pointn[0]):
             break
-        x, psi, point = xn, psin, pointn
+        x, psi, point, step = xn, psin, pointn, None
     gap = _fw_gap(point[1], x, s)
     converged = gap <= tol and _slope(point) <= SLOPE_TOL
     drift = s - float(x.sum())

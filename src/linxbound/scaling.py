@@ -145,11 +145,13 @@ def optimize_gamma(
     other input, n = 2 included, goes to _maximize_capped_simplex, which,
     started at the psi that is optimal for the diagonal of C o M, finds
     the saddle point (x, psi) of f, max over x and min over psi =
-    log(gamma), by joint Newton steps; it stops when the linearization gap
-    meets opts' target and |df/dpsi| <= linx.SLOPE_TOL.  That point is
-    best, the result at gamma = e^psi: its x, f(x, psi), gap, steps and
-    convergence, with no solve after it.  A mask whose order is not
-    inst's raises ValueError.
+    log(gamma), by joint Newton steps: a long one where the joint Newton
+    decrement does not grow, and the damped one otherwise, as in a
+    fixed-gamma solve.  It stops when the linearization gap meets opts'
+    target and |df/dpsi| <= linx.SLOPE_TOL.  That point is best, the
+    result at gamma = e^psi: its x, f(x, psi), gap, steps and convergence,
+    with no solve after it.  A mask whose order is not inst's raises
+    ValueError.
     """
     s = int(s)
     mask = Mask.ones(inst.n) if mask is None else mask

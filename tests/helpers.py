@@ -65,6 +65,20 @@ def interior_point(rng, n, s):
     return np.clip(s / n + 0.2 * min(s / n, 1 - s / n) * z, 0.01, 0.99)
 
 
+def count_derivative_calls(monkeypatch):
+    """Counts every _LinxProblem.derivatives call from now on, in a
+    one-element list that the caller may reset."""
+    calls = [0]
+    derivatives = _LinxProblem.derivatives
+
+    def counted(self, *args):
+        calls[0] += 1
+        return derivatives(self, *args)
+
+    monkeypatch.setattr(_LinxProblem, "derivatives", counted)
+    return calls
+
+
 def engine_solve(inst, s, mask=None, gamma=1.0, opts=DEFAULT_OPTIONS):
     """solve_linx by the barrier engine alone, also where C o M is diagonal.
 

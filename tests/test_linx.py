@@ -25,6 +25,7 @@ from linxbound.linx import _kkt_step, _LinxProblem
 
 from helpers import (
     correlation_matrix,
+    count_derivative_calls,
     diagonal_entries,
     engine_solve,
     gram_matrix,
@@ -356,20 +357,8 @@ class TestLineSearch:
             total += res.iterations
         assert total <= 140
 
-    @staticmethod
-    def _count_calls(monkeypatch):
-        calls = [0]
-        derivatives = _LinxProblem.derivatives
-
-        def counted(self, *args):
-            calls[0] += 1
-            return derivatives(self, *args)
-
-        monkeypatch.setattr(_LinxProblem, "derivatives", counted)
-        return calls
-
     def test_every_trial_counts_as_an_iteration(self, monkeypatch):
-        calls = self._count_calls(monkeypatch)
+        calls = count_derivative_calls(monkeypatch)
         rng = np.random.default_rng(46)
         cases = [(_ill_conditioned(seed), 1, Mask.ones(8), 5.0) for seed in range(3)]
         for k in range(8):
@@ -384,7 +373,7 @@ class TestLineSearch:
             assert calls[0] == res.iterations
 
     def test_iteration_cap_bounds_the_calls(self, monkeypatch):
-        calls = self._count_calls(monkeypatch)
+        calls = count_derivative_calls(monkeypatch)
         inst = _instance(gram_matrix(np.random.default_rng(0), 32), 16)
         for k in range(1, 16):
             calls[0] = 0
@@ -395,12 +384,12 @@ class TestLineSearch:
     def test_damped_fallback(self, monkeypatch):
         # no workload rejects a long step, so reject every one: each step
         # then pays for its long trial and takes the damped step after it
-        calls = self._count_calls(monkeypatch)
+        calls = count_derivative_calls(monkeypatch)
         for n in (8, 12, 32):
             inst = _instance(gram_matrix(np.random.default_rng(0), n), n // 2)
             kept = solve_linx(inst, n // 2).iterations
             with monkeypatch.context() as patch:
-                patch.setattr(linx, "_ARMIJO", math.inf)
+                patch.setattr(linx, "_KEEP", -1.0)
                 calls[0] = 0
                 res = solve_linx(inst, n // 2)
                 assert res.converged
