@@ -27,7 +27,7 @@ import sys
 from .exact import DEFAULT_ENUMERATION_CAP, exact_mesp
 from .gaps import GapKind, GapReportRow, run_gap_experiment
 from .instance import Mask, load_matrix, validate
-from .linx import DEFAULT_OPTIONS, SolverOptions, solve_linx
+from .linx import DEFAULT_OPTIONS, BoundResult, SolverOptions, solve_linx
 from .scaling import RegimeTag, classify_regime, limit_linx_at_infinity, optimize_gamma
 
 EXIT_OK = 0
@@ -193,18 +193,26 @@ def run(config: argparse.Namespace) -> tuple[int, str]:
     return status, _render(report, config.output)
 
 
+def _status(converged: bool) -> int:
+    return EXIT_OK if converged else EXIT_NO_CONVERGENCE
+
+
+def _bound_fields(res: BoundResult) -> dict:
+    """The value, x_hat and duality_gap keys of a report on res."""
+    return {"value": res.value, "x_hat": res.x_hat.tolist(), "duality_gap": res.duality_gap}
+
+
 def _dispatch(config: argparse.Namespace) -> tuple[int, dict]:
     opts = SolverOptions(tol_fw=config.tol_fw, max_iter=config.max_iter)
     if config.command == "gap":
         kind = GapKind.UNSCALED if config.kind == "unscaled" else GapKind.SCALED
         rows = run_gap_experiment(kind, config.n, config.c1, config.c2, opts)
-        status = EXIT_OK if all(r.converged for r in rows) else EXIT_NO_CONVERGENCE
         payload = [
             {k: _json_num(getattr(r, k)) if k.startswith("gamma") else getattr(r, k)
              for k in _ROW_FIELDS}
             for r in rows
         ]
-        return status, {"command": "gap", "rows": payload}
+        return _status(all(r.converged for r in rows)), {"command": "gap", "rows": payload}
 
     with open(config.input, "r", encoding="utf-8") as fh:
         matrix = load_matrix(fh)
@@ -225,44 +233,27 @@ def _dispatch(config: argparse.Namespace) -> tuple[int, dict]:
                 "value": "undefined: limit program requires s = rank",
             }
         res = limit_linx_at_infinity(inst, config.s, opts)
-        status = EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
-        return status, {
-            **base,
-            "gamma": "inf",
-            "value": res.value,
-            "x_hat": res.x_hat.tolist(),
-            "duality_gap": res.duality_gap,
-            "regime": regime.tag.value,
-        }
+        report = {**base, "gamma": "inf", **_bound_fields(res), "regime": regime.tag.value}
+        return _status(res.converged), report
 
     mask = _load_mask(config.mask, inst.n)
 
-    if config.command == "gamma" or (config.command == "bound" and config.gamma == "auto"):
+    if config.command == "gamma" or config.gamma == "auto":
         search = optimize_gamma(inst, config.s, mask, opts)
-        status = EXIT_OK if search.converged else EXIT_NO_CONVERGENCE
         report = {
             **base,
-            "command": config.command,
             "gamma": _json_num(search.gamma_hat),
             "mask": mask.label,
             "value": search.bound_value,
             "regime": search.regime.tag.value,
         }
         if config.command == "bound" and search.best is not None:
-            report["x_hat"] = search.best.x_hat.tolist()
-            report["duality_gap"] = search.best.duality_gap
-        return status, report
+            # value is already in place; x_hat and duality_gap follow regime
+            report.update(_bound_fields(search.best))
+        return _status(search.converged), report
 
     res = solve_linx(inst, config.s, mask, _gamma_value(config.gamma), opts)
-    status = EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
-    return status, {
-        **base,
-        "gamma": res.gamma,
-        "mask": mask.label,
-        "value": res.value,
-        "x_hat": res.x_hat.tolist(),
-        "duality_gap": res.duality_gap,
-    }
+    return _status(res.converged), {**base, "gamma": res.gamma, "mask": mask.label, **_bound_fields(res)}
 
 
 def main(argv=None) -> int:

@@ -91,6 +91,12 @@ def solve_xs_equation(d, s: int) -> float:
     c = 1.0 / (d * d - 1.0)
     if c[s] - c[s - 1] >= 1.0:
         raise ValueError("binary block: the pivot equation has no interior root")
+    return _pivot_root(c, s)
+
+
+def _pivot_root(c: np.ndarray, s: int) -> float:
+    """Root t of solve_xs_equation's pivot equation, from its c, for a
+    block that is interior: c_{s+1} - c_s < 1, checked by the caller."""
     # c is non-decreasing, so term i is clip(t + c_s - c_i, 0, 1).  On
     # [0, 1] it is 1 where c_i - c_s <= -1 and 0 where c_i - c_s >= 1; the
     # shifts w = c_i - c_s in between put breaks at w and w + 1, and the
@@ -110,12 +116,10 @@ def solve_xs_equation(d, s: int) -> float:
 def _solve_homogeneous(d: np.ndarray, s: int):
     """Maximizer for a block with every entry on one side of 1.
 
-    Returns (x, case, pivot).  s = 0 and s = n are allowed; they come up
-    when the G/E/L split consumes the full budget.
+    Returns (x, case, pivot).  1 <= s <= n; s = n comes up when the
+    budget takes the whole G block.
     """
     n = d.size
-    if s == 0:
-        return np.zeros(n), DiagonalCase.BINARY, math.nan
     if s == n:
         return np.ones(n), DiagonalCase.BINARY, math.nan
     c = 1.0 / (d * d - 1.0)
@@ -123,7 +127,7 @@ def _solve_homogeneous(d: np.ndarray, s: int):
         x = np.zeros(n)
         x[:s] = 1.0
         return x, DiagonalCase.BINARY, math.nan
-    t = solve_xs_equation(d, s)
+    t = _pivot_root(c, s)
     x = np.clip(t + c[s - 1] - c, 0.0, 1.0)
     # one linear correction spreads the rounding residual over the
     # interior coordinates, tightening e.x = s to rounding error

@@ -126,48 +126,41 @@ def run_gap_experiment(
 ) -> list[GapReportRow]:
     """Measure plain-versus-masked bounds on the gap families, s = n/2.
 
-    Unscaled: both sides at gamma = 1.  Scaled: both sides optimize
-    gamma by optimize_gamma; the masked side is diagonal, where the search
-    takes the exact optimal scaling 1/d_s^2 and the scaled bound is tight
-    (sum of the top s log-diagonals; identically 0 for the unit-diagonal
-    family).  A row converges when both sides do.
-    Rows are reported in increasing n; an order above DEFAULT_N_CAP is
-    refused.
+    Unscaled: both sides are solve_linx at gamma = 1.  Scaled: both sides
+    are the best of optimize_gamma, which s = n/2 < rank puts in the
+    interior regime; the masked side is diagonal, where the search takes
+    the exact optimal scaling 1/d_s^2 and the scaled bound is tight (sum of
+    the top s log-diagonals; identically 0 for the unit-diagonal family).
+    A row reads the value, gamma and convergence of the two results, and
+    converges when both sides do.  Rows are reported in increasing n; an
+    order above DEFAULT_N_CAP is refused.
     """
     rows = []
     for n in sorted(int(n) for n in n_list):
         if n > DEFAULT_N_CAP:
             raise ValueError(f"n={n} exceeds the cap {DEFAULT_N_CAP}")
         s = n // 2
+        masks = (Mask.ones(n), Mask.identity(n))
         if kind is GapKind.UNSCALED:
             inst = validate(build_maskgap_instance(n), s)
-            res_p = solve_linx(inst, s, Mask.ones(n), 1.0, opts)
-            res_m = solve_linx(inst, s, Mask.identity(n), 1.0, opts)
-            plain, masked = res_p.value, res_m.value
-            gamma_plain = gamma_masked = 1.0
-            ok = res_p.converged and res_m.converged
+            plain, masked = (solve_linx(inst, s, m, 1.0, opts) for m in masks)
             floor = UNSCALED_FLOOR_PER_N * n
         elif kind is GapKind.SCALED:
             inst = validate(build_scaledgap_instance(n, c1, c2), s)
-            res_p = optimize_gamma(inst, s, Mask.ones(n), opts)
-            res_m = optimize_gamma(inst, s, Mask.identity(n), opts)
-            plain, masked = res_p.bound_value, res_m.bound_value
-            gamma_plain, gamma_masked = res_p.gamma_hat, res_m.gamma_hat
-            ok = res_p.converged and res_m.converged
-            _, b = scaled_gap_floor(c1, c2)
-            floor = b * n
+            plain, masked = (optimize_gamma(inst, s, m, opts).best for m in masks)
+            floor = scaled_gap_floor(c1, c2)[1] * n
         else:
             raise ValueError(f"unknown experiment kind: {kind!r}")
         rows.append(
             GapReportRow(
                 n=n,
-                plain_bound=plain,
-                masked_bound=masked,
-                gap=plain - masked,
+                plain_bound=plain.value,
+                masked_bound=masked.value,
+                gap=plain.value - masked.value,
                 theoretical_floor=floor,
-                gamma_plain=gamma_plain,
-                gamma_masked=gamma_masked,
-                converged=ok,
+                gamma_plain=plain.gamma,
+                gamma_masked=masked.gamma,
+                converged=plain.converged and masked.converged,
             )
         )
     return rows

@@ -474,19 +474,19 @@ def _face_newton(evaluate, x, prev, point, psi, s: int, tol: float, budget: int)
     return calls, None
 
 
-def _maximize_capped_simplex(problem, n: int, s: int, opts: SolverOptions, psi=None):
+def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
     """Barrier-method core shared by the bound solvers.
 
     problem.derivatives(x) returns the value, gradient and Hessian of the
-    concave objective: a _LinxProblem, of the linx program or of another
-    split form F(x) = U^T X U + V^T (I - X) V.  A Newton step dx whose
-    decrement lam is at least _CENTRED first tries the long step alpha =
-    min(1, _BOX_FRACTION * alpha_box), with alpha_box the longest step
-    along dx inside the open box, when alpha exceeds 1/(1 + lam).  It
-    evaluates the trial point and its Newton step at the same t, and keeps
-    the trial when that step's decrement is at most _KEEP * lam, i.e.
-    does not grow; the kept trial's evaluation and step are the next
-    iteration's.  Every other step, and the one after a rejected trial, is
+    concave objective over P(problem.n, problem.s): a _LinxProblem, of the
+    linx program or of another split form F(x) = U^T X U + V^T (I - X) V.
+    A Newton step dx whose decrement lam is at least _CENTRED first tries
+    the long step alpha = min(1, _BOX_FRACTION * alpha_box), with
+    alpha_box the longest step along dx inside the open box, when alpha
+    exceeds 1/(1 + lam).  It evaluates the trial point and its Newton step
+    at the same t, and keeps the trial when that step's decrement is at
+    most _KEEP * lam, i.e. does not grow; the kept trial's evaluation and
+    step are the next iteration's.  Every other step, and the one after a rejected trial, is
     the damped step dx / (1 + lam), which self-concordance keeps inside
     the box and descending.  So each trial costs one derivatives call, and
     a rejected one counts as an iteration of its own.  Each centred
@@ -518,9 +518,7 @@ def _maximize_capped_simplex(problem, n: int, s: int, opts: SolverOptions, psi=N
     not carried.
     """
 
-    def evaluate(y, p):
-        return problem.derivatives(y) if p is None else problem.derivatives(y, p)
-
+    n, s, evaluate = problem.n, problem.s, problem.derivatives
     x, psi0, prev = np.full(n, s / n), psi, None
     point = evaluate(x, psi)
     if not np.isfinite(point[0]):
@@ -567,10 +565,7 @@ def _maximize_capped_simplex(problem, n: int, s: int, opts: SolverOptions, psi=N
                     if iters == opts.max_iter:
                         break
                     iters += 1  # the rejected trial
-            xn = x + (1.0 / damp) * dx  # the damped step; rounds unlike dx / damp below
-        else:
-            xn = x + dx / damp
-        xn = _reproject(xn, s)
+        xn = _reproject(x + dx / damp, s)
         if not (xn.min() > 0.0 and xn.max() < 1.0):
             break  # rounding left the open box; x is the last good iterate
         psin = None
@@ -617,7 +612,7 @@ def solve_linx(
         raise ValueError(f"need 0 < s < n, got s={s}, n={inst.n}")
     problem = _LinxProblem(inst, mask, gamma, s)
     if not _is_diagonal(problem.U):
-        return _result(_maximize_capped_simplex(problem, inst.n, s, opts), gamma, mask.label)
+        return _result(_maximize_capped_simplex(problem, opts), gamma, mask.label)
     a = problem.U.diagonal()
     x = solve_diagonal_linx(math.sqrt(problem.gamma) * a, s).x_hat
     coef = problem.gamma * a * a - 1.0

@@ -33,7 +33,7 @@ own and is maximized by the same barrier engine as the linx bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -69,22 +69,33 @@ class GammaRegime:
 
 @dataclass(frozen=True, eq=False)
 class GammaSearchResult:
-    """Outcome of the scaling search.
+    """Outcome of the scaling search: its regime, and best, the one result
+    it computed.
 
-    gamma_hat is math.inf for the two degenerate regimes, where rank alone
-    decides the answer (the limit program runs in the s = rank regime;
-    nothing runs in the s > rank regime, whose bound is -inf), and best is
-    None there.  In the interior regime best is the one result the search
-    computed, at gamma_hat: the closed-form solve of a separable C o M, or
-    the saddle solve.  converged reports whether that result met its gap
-    target, and the saddle solve its slope target too.
+    best is the closed-form solve of a separable C o M or the saddle
+    solve, at the optimal gamma, in the interior regime, and the limit
+    program's solve, at gamma = inf and labelled with the search's mask, in
+    the s = rank regime.  It is None only in the s > rank regime, where
+    nothing runs and the bound is -inf.  gamma_hat, bound_value and
+    converged read best: its gamma, value and convergence (the gap target
+    met, and for the saddle solve the slope target too), or inf, -inf and
+    True when best is None.
     """
 
-    gamma_hat: float
-    bound_value: float
     regime: GammaRegime
-    converged: bool
     best: BoundResult | None = None
+
+    @property
+    def gamma_hat(self) -> float:
+        return math.inf if self.best is None else self.best.gamma
+
+    @property
+    def bound_value(self) -> float:
+        return NEG_INF if self.best is None else self.best.value
+
+    @property
+    def converged(self) -> bool:
+        return self.best is None or self.best.converged
 
 
 def classify_regime(inst: Instance, s: int) -> GammaRegime:
@@ -127,7 +138,7 @@ def limit_linx_at_infinity(
         raise ValueError(f"need 0 < s < n, got s={s}, n={inst.n}")
     if s != inst.rank:
         raise ValueError(f"limit program requires s = rank, got s={s}, rank={inst.rank}")
-    return _result(_maximize_capped_simplex(_limit_problem(inst, s), inst.n, s, opts), math.inf, "J")
+    return _result(_maximize_capped_simplex(_limit_problem(inst, s), opts), math.inf, "J")
 
 
 def optimize_gamma(
@@ -140,18 +151,20 @@ def optimize_gamma(
 
     The regime (and the limit program, when it applies) is keyed to the
     rank of the masked matrix C o M, since that is the matrix the bound
-    actually sees.  In the interior regime a separable C o M takes one
-    closed-form solve_linx at gamma = 1/d_s^2, with iterations 0.  Any
-    other input, n = 2 included, goes to _maximize_capped_simplex, which,
-    started at the psi that is optimal for the diagonal of C o M, finds
-    the saddle point (x, psi) of f, max over x and min over psi =
-    log(gamma), by joint Newton steps: a long one where the joint Newton
-    decrement does not grow, and the damped one otherwise, as in a
-    fixed-gamma solve.  It stops when the linearization gap meets opts'
-    target and |df/dpsi| <= linx.SLOPE_TOL.  That point is best, the
-    result at gamma = e^psi: its x, f(x, psi), gap, steps and convergence,
-    with no solve after it.  A mask whose order is not inst's raises
-    ValueError.
+    actually sees.  In the s = rank regime best is limit_linx_at_infinity
+    of C o M, at gamma = inf, labelled with mask; in the s > rank regime
+    nothing is solved and best is None.  In the interior regime a
+    separable C o M takes one closed-form solve_linx at gamma = 1/d_s^2,
+    with iterations 0.  Any other input, n = 2 included, goes to
+    _maximize_capped_simplex, which, started at the psi that is optimal
+    for the diagonal of C o M, finds the saddle point (x, psi) of f, max
+    over x and min over psi = log(gamma), by joint Newton steps: a long
+    one where the joint Newton decrement does not grow, and the damped one
+    otherwise, as in a fixed-gamma solve.  It stops when the linearization
+    gap meets opts' target and |df/dpsi| <= linx.SLOPE_TOL.  That point is
+    best, the result at gamma = e^psi: its x, f(x, psi), gap, steps and
+    convergence, with no solve after it.  A mask whose order is not inst's
+    raises ValueError.
     """
     s = int(s)
     mask = Mask.ones(inst.n) if mask is None else mask
@@ -163,35 +176,17 @@ def optimize_gamma(
     regime = classify_regime(eff, s)
 
     if regime.tag is RegimeTag.UNBOUNDED_BELOW:
-        return GammaSearchResult(
-            gamma_hat=math.inf,
-            bound_value=NEG_INF,
-            regime=regime,
-            converged=True,
-        )
-
+        return GammaSearchResult(regime)
     if regime.tag is RegimeTag.LIMIT_AT_INFINITY:
-        lim = limit_linx_at_infinity(eff, s, opts)
-        return GammaSearchResult(
-            gamma_hat=math.inf,
-            bound_value=lim.value,
-            regime=regime,
-            converged=lim.converged,
-        )
-
-    gamma_diag = optimal_gamma_diagonal(np.sort(eff.d)[::-1], s)
-    if _is_diagonal(eff.C.entries):
-        best = solve_linx(inst, s, mask, gamma_diag, opts)
+        best = replace(limit_linx_at_infinity(eff, s, opts), mask_id=mask.label)
     else:
-        # start from the scaling that is optimal for the diagonal of C o M,
-        # which makes the solve independent of the scale of C
-        problem = _LinxProblem(inst, mask, 1.0, s)
-        out = _maximize_capped_simplex(problem, inst.n, s, opts, psi=math.log(gamma_diag))
-        best = _result(out, math.exp(out[5]), mask.label)
-    return GammaSearchResult(
-        gamma_hat=best.gamma,
-        bound_value=best.value,
-        regime=regime,
-        converged=best.converged,
-        best=best,
-    )
+        gamma_diag = optimal_gamma_diagonal(np.sort(eff.d)[::-1], s)
+        if _is_diagonal(eff.C.entries):
+            best = solve_linx(inst, s, mask, gamma_diag, opts)
+        else:
+            # start from the scaling that is optimal for the diagonal of C o M,
+            # which makes the solve independent of the scale of C
+            problem = _LinxProblem(inst, mask, 1.0, s)
+            out = _maximize_capped_simplex(problem, opts, psi=math.log(gamma_diag))
+            best = _result(out, math.exp(out[5]), mask.label)
+    return GammaSearchResult(regime, best)

@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 
-from linxbound import BoundResult, Mask
-from linxbound.linx import DEFAULT_OPTIONS, _LinxProblem, _maximize_capped_simplex
+from linxbound import Mask
+from linxbound.linx import DEFAULT_OPTIONS, _LinxProblem, _maximize_capped_simplex, _result
 
 
 def gram_matrix(rng, n, r=None):
@@ -87,13 +87,4 @@ def engine_solve(inst, s, mask=None, gamma=1.0, opts=DEFAULT_OPTIONS):
     """
     mask = Mask.ones(inst.n) if mask is None else mask
     problem = _LinxProblem(inst, mask, gamma, s)
-    x, f, gap, iters, converged, _ = _maximize_capped_simplex(problem, inst.n, s, opts)
-    return BoundResult(
-        value=f,
-        x_hat=x,
-        duality_gap=gap,
-        gamma=float(gamma),
-        mask_id=mask.label,
-        iterations=iters,
-        converged=converged,
-    )
+    return _result(_maximize_capped_simplex(problem, opts), gamma, mask.label)

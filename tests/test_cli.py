@@ -12,6 +12,7 @@ from linxbound.cli import _parser, main, parse_args, run
 from helpers import gram_matrix
 
 J2 = "2\n1 1\n1 1\n"
+RANK1 = "3\n1 2 3\n2 4 6\n3 6 9\n"   # the README's rank-one input
 DIAG = "3\n2 0 0\n0 1.5 0\n0 0 0.5\n"
 I3 = "3\n1 0 0\n0 1 0\n0 0 1\n"
 
@@ -20,6 +21,13 @@ I3 = "3\n1 0 0\n0 1 0\n0 0 1\n"
 def j2_file(tmp_path):
     path = tmp_path / "j2.txt"
     path.write_text(J2)
+    return str(path)
+
+
+@pytest.fixture
+def rank1_file(tmp_path):
+    path = tmp_path / "rank1.txt"
+    path.write_text(RANK1)
     return str(path)
 
 
@@ -117,6 +125,22 @@ class TestBoundCommand:
         assert fixed["gamma"] == auto["gamma"]
         slack = auto["duality_gap"] + fixed["duality_gap"] + 1e-13 * abs(fixed["value"])
         assert abs(auto["value"] - fixed["value"]) <= slack
+
+    def test_auto_gamma_at_rank_reports_the_limit_solve(self, rank1_file):
+        # s = rank: the search's result is the limit program's solve, so
+        # auto prints the x_hat and duality_gap that limit prints
+        status, text = _run(["bound", "--input", rank1_file, "--s", "1", "--gamma", "auto"])
+        assert status == 0
+        auto = json.loads(text)
+        status, text = _run(["limit", "--input", rank1_file, "--s", "1"])
+        assert status == 0
+        limit = json.loads(text)
+        assert auto["regime"] == limit["regime"] == "LimitAtInfinity"
+        assert auto["gamma"] == "inf"
+        for key in ("value", "x_hat", "duality_gap"):
+            assert auto[key] == limit[key]
+        assert list(auto) == ["command", "n", "s", "gamma", "mask", "value", "regime",
+                              "x_hat", "duality_gap"]
 
     def test_log_base_conversion(self, j2_file):
         _, nat = _run(["bound", "--input", j2_file, "--s", "1"])
@@ -268,6 +292,36 @@ class TestGapCommand:
     def test_bad_n_list(self):
         assert main(["gap", "--n", "2,x"]) == 1
 
+    def test_empty_n_list(self, capsys):
+        assert main(["gap", "--n", ","]) == 1
+        assert "--n must list at least one order" in capsys.readouterr().err
+
+    def test_log_base_scales_rows(self):
+        _, nat = _run(["gap", "--kind", "unscaled", "--n", "2,4"])
+        _, base2 = _run(["gap", "--kind", "unscaled", "--n", "2,4", "--log-base", "2"])
+        for row, row2 in zip(json.loads(nat)["rows"], json.loads(base2)["rows"]):
+            for key in ("plain_bound", "masked_bound", "gap", "theoretical_floor"):
+                assert row2[key] == row[key] / math.log(2.0)
+            for key in ("n", "gamma_plain", "gamma_masked", "converged"):
+                assert row2[key] == row[key]
+
+    def test_plain_output_renders_rows(self):
+        status, text = _run(["gap", "--kind", "unscaled", "--n", "2,4", "--output", "plain"])
+        assert status == 0
+        rows = json.loads(_run(["gap", "--kind", "unscaled", "--n", "2,4"])[1])["rows"]
+        lines = text.splitlines()
+        assert lines[:3] == [
+            "command = gap",
+            "rows:",
+            "  n plain_bound masked_bound gap theoretical_floor gamma_plain gamma_masked converged",
+        ]
+        assert len(lines) == 5
+        for line, row in zip(lines[3:], rows):
+            fields = line.split()
+            assert int(fields[0]) == row["n"]
+            assert float(fields[1]) == row["plain_bound"]
+            assert fields[-1] == str(row["converged"])
+
 
 class TestErrorPaths:
     def test_missing_file(self):
@@ -299,6 +353,11 @@ class TestErrorPaths:
     def test_invalid_gamma(self, j2_file):
         status, _ = _run(["bound", "--input", j2_file, "--s", "1", "--gamma", "-2"])
         assert status == 1
+
+    def test_non_numeric_gamma(self, j2_file):
+        status, text = _run(["bound", "--input", j2_file, "--s", "1", "--gamma", "abc"])
+        assert status == 1
+        assert text == "error: --gamma must be a number or 'auto', got 'abc'"
 
     @pytest.mark.parametrize("gamma", ["nan", "inf", "1e400"])
     def test_non_finite_gamma(self, diag_file, gram8_file, gamma):

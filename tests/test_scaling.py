@@ -106,6 +106,28 @@ class TestOptimizeGamma:
         assert search.regime.tag is RegimeTag.LIMIT_AT_INFINITY
         assert search.gamma_hat == math.inf
         assert search.bound_value == pytest.approx(0.0, abs=1e-9)
+        # best is the limit program's solve
+        limit = limit_linx_at_infinity(inst, 1)
+        assert search.best.gamma == math.inf
+        assert search.best.value == limit.value
+        np.testing.assert_array_equal(search.best.x_hat, limit.x_hat)
+        assert search.best.duality_gap == limit.duality_gap
+        assert search.best.mask_id == "J"
+
+    def test_masked_limit_regime_carries_its_mask(self):
+        # a sign mask v v^T keeps rank(C o M) = rank(C) = s, but C o M is
+        # not C: best is the limit solve of C o M, labelled with the mask
+        C = gram_matrix(np.random.default_rng(43), 5, 2)
+        v = np.array([1.0, -1.0, 1.0, 1.0, -1.0])
+        mask = Mask.from_matrix(SymMatrix.from_array(np.outer(v, v)), label="signs")
+        search = optimize_gamma(validate(SymMatrix.from_array(C), 2), 2, mask)
+        assert search.regime.tag is RegimeTag.LIMIT_AT_INFINITY
+        limit = limit_linx_at_infinity(validate(SymMatrix.from_array(C * np.outer(v, v)), 2), 2)
+        assert search.best.mask_id == "signs"
+        assert search.best.gamma == search.gamma_hat == math.inf
+        assert search.best.value == search.bound_value == limit.value
+        np.testing.assert_array_equal(search.best.x_hat, limit.x_hat)
+        assert search.converged and search.best.converged
 
     def test_unbounded_regime_diagnostics(self):
         inst = validate(SymMatrix.all_ones(3), 2)
@@ -249,7 +271,9 @@ class TestOptimizeGamma:
         assert search.best.gamma == search.gamma_hat
         assert search.best.value == search.bound_value
         assert search.best.mask_id == "I"
-        assert optimize_gamma(validate(SymMatrix.all_ones(2), 1), 1).best is None
+        limit = optimize_gamma(validate(SymMatrix.all_ones(2), 1), 1)
+        assert limit.best.gamma == limit.gamma_hat == math.inf
+        assert limit.best.value == limit.bound_value
 
     def test_closed_form_bound_shape(self):
         # for the rank-one 2x2 family the bound is 0.5*log(1 + 1/(4 gamma))
