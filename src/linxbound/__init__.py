@@ -7,17 +7,14 @@ plain and identity-masked bounds.
 """
 
 from .diagonal import (
-    DiagonalCase,
-    DiagonalSolution,
     check_uniform_optimality,
-    eigenvalue_lower_bound,
     optimal_gamma_2x2,
     optimal_gamma_diagonal,
     optimal_mask_2x2,
     solve_diagonal_linx,
     solve_xs_equation,
 )
-from .exact import ExactResult, exact_mesp, logdet_submatrix
+from .exact import exact_mesp, logdet_submatrix
 from .gaps import (
     GapKind,
     GapReportRow,
@@ -32,7 +29,6 @@ from .linx import (
     BoundResult,
     SolverOptions,
     certify_gamma_optimal,
-    is_feasible,
     linx_gradient,
     linx_objective,
     lmo_capped_simplex,
@@ -51,9 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundResult",
-    "DiagonalCase",
-    "DiagonalSolution",
-    "ExactResult",
     "GammaRegime",
     "GammaSearchResult",
     "GapKind",
@@ -68,10 +61,8 @@ __all__ = [
     "certify_gamma_optimal",
     "check_uniform_optimality",
     "classify_regime",
-    "eigenvalue_lower_bound",
     "exact_mesp",
     "gap_lower_bound_2x2",
-    "is_feasible",
     "limit_linx_at_infinity",
     "linx_gradient",
     "linx_objective",

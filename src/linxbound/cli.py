@@ -39,6 +39,9 @@ _LOG_DIVISORS = {"e": 1.0, "2": math.log(2.0), "10": math.log(10.0)}
 
 _ROW_FIELDS = tuple(f.name for f in dataclasses.fields(GapReportRow))
 
+# the report and row keys that hold entropies, which --log-base converts
+_ENTROPIES = {"value", "duality_gap", "plain_bound", "masked_bound", "gap", "theoretical_floor"}
+
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
@@ -122,25 +125,18 @@ def _gamma_value(text: str) -> float:
 
 
 def _scale_values(report: dict, base: str) -> dict:
+    """report with its entropies, and those of its rows, in the log base;
+    dividing by 1.0 is exact, so base e changes nothing."""
     div = _LOG_DIVISORS[base]
-    if div == 1.0:
-        return report
-    out = dict(report)
-    for key in ("value", "duality_gap"):
-        # the limit command's regime report carries a string value
-        if isinstance(out.get(key), float):
-            out[key] = out[key] / div
+
+    def scaled(fields: dict) -> dict:
+        # strings stay: the limit command's regime report carries a string value
+        return {k: v / div if k in _ENTROPIES and not isinstance(v, str) else v
+                for k, v in fields.items()}
+
+    out = scaled(report)
     if "rows" in out:
-        out["rows"] = [
-            {
-                **row,
-                **{
-                    k: row[k] / div
-                    for k in ("plain_bound", "masked_bound", "gap", "theoretical_floor")
-                },
-            }
-            for row in out["rows"]
-        ]
+        out["rows"] = [scaled(row) for row in out["rows"]]
     return out
 
 

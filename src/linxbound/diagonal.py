@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .instance import Instance, _freeze
+from .instance import Instance, _check_s, _freeze
 
 UNIT_SNAP = 1e-12   # |d_i - 1| below this counts as exactly 1
 
@@ -81,9 +81,7 @@ def solve_xs_equation(d, s: int) -> float:
     """
     d = _snap_units(_check_d(d))
     n = d.size
-    s = int(s)
-    if not 0 < s < n:
-        raise ValueError(f"need 0 < s < n, got s={s}, n={n}")
+    s = _check_s(s, n)
     if np.any(np.diff(d) > 0.0):
         raise ValueError("d must be sorted non-increasing")
     if not (np.all(d > 1.0) or np.all(d < 1.0)):
@@ -149,9 +147,7 @@ def solve_diagonal_linx(d, s: int) -> DiagonalSolution:
     """
     d = _check_d(d)
     n = d.size
-    s = int(s)
-    if not 0 < s < n:
-        raise ValueError(f"need 0 < s < n, got s={s}, n={n}")
+    s = _check_s(s, n)
     perm = np.argsort(-d, kind="stable")
     ds = _snap_units(d[perm])
     n_g = int(np.count_nonzero(ds > 1.0))
@@ -191,8 +187,7 @@ def check_uniform_optimality(d, s: int, x, tol: float = 1e-8) -> bool:
         raise ValueError(f"x has shape {x.shape}, expected ({n},)")
     if np.any(np.diff(d) > 0.0):
         raise ValueError("d must be sorted non-increasing")
-    if not 0 < int(s) < n:
-        raise ValueError(f"need 0 < s < n, got s={s}, n={n}")
+    s = _check_s(s, n)
     if np.any(x < -1e-10) or np.any(x > 1.0 + 1e-10) or abs(float(x.sum()) - s) > 1e-8:
         raise ValueError("x is not feasible")
     q = (d * d - 1.0) / ((d * d - 1.0) * x + 1.0)
@@ -274,9 +269,6 @@ def eigenvalue_lower_bound(inst: Instance, s: int) -> float:
 
     Always a valid lower bound on the (unscaled, unmasked) relaxation.
     """
-    s = int(s)
-    if not 0 < s < inst.n:
-        raise ValueError(f"need 0 < s < n, got s={s}, n={inst.n}")
-    p = s / inst.n
+    p = _check_s(s, inst.n) / inst.n
     w = inst.eigvals
     return 0.5 * float(np.sum(np.log(p * w * w + 1.0 - p)))

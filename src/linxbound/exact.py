@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance, SymMatrix
+from .instance import Instance, SymMatrix, _check_s
 
 NEG_INF = float("-inf")
 
@@ -76,9 +76,7 @@ def exact_mesp(inst: Instance, s: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Ex
     n = inst.n
     if n > cap:
         raise ValueError(f"n={n} exceeds the enumeration cap {cap}")
-    s = int(s)
-    if not 0 < s < n:
-        raise ValueError(f"need 0 < s < n, got s={s}, n={n}")
+    s = _check_s(s, n)
     if s > inst.rank:
         return ExactResult(value=NEG_INF, best_subset=tuple(range(s)))
     k = math.comb(n, s)

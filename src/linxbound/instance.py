@@ -158,6 +158,14 @@ class Instance:
         return self.C.n
 
 
+def _check_s(s, n: int) -> int:
+    """s as an int; raises ValueError unless 0 < s < n."""
+    s = int(s)
+    if not 0 < s < n:
+        raise ValueError(f"need 0 < s < n, got s={s}, n={n}")
+    return s
+
+
 def validate(C: SymMatrix, s: int) -> Instance:
     """Check that (C, s) is a usable input and precompute its spectrum.
 
@@ -165,10 +173,7 @@ def validate(C: SymMatrix, s: int) -> Instance:
     within TOL_PSD.  s larger than rank(C) is accepted; the scaling module
     classifies that case as degenerate rather than rejecting it here.
     """
-    n = C.n
-    s = int(s)
-    if not 0 < s < n:
-        raise ValueError(f"need 0 < s < n, got s={s}, n={n}")
+    _check_s(s, C.n)
     d = np.diagonal(C.entries)
     if np.any(d <= 0.0):
         raise ValueError("all diagonal entries must be positive")

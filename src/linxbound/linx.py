@@ -61,7 +61,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .diagonal import solve_diagonal_linx
-from .instance import Instance, Mask, _freeze
+from .instance import Instance, Mask, _check_s, _freeze
 
 NEG_INF = float("-inf")
 
@@ -86,9 +86,10 @@ class SolverOptions:
 
     tol_fw is the absolute target for the linearization (Frank-Wolfe)
     duality gap; None means 1e-8 * max(1, |f(x0)|), fixed at the uniform
-    start x0.  max_iter caps the number of evaluations of f and its
-    derivatives: every trial step, a rejected long step too, every face
-    step and a face finish's projected point count as one.
+    start x0.  max_iter caps the derivatives calls (evaluations of f and
+    its derivatives) of one solve, and a result's iterations is their
+    count: every trial step, a rejected long step too, every face step and
+    a face finish's projected point make one call.
     A tol_fw not finite and positive or a max_iter below 1 is rejected.
     """
 
@@ -136,10 +137,8 @@ def lmo_capped_simplex(g, s: int) -> np.ndarray:
     index, which keeps the solver deterministic.
     """
     g = np.asarray(g, dtype=float)
-    n = g.shape[0]
-    if not 0 < s < n:
-        raise ValueError(f"need 0 < s < n, got s={s}, n={n}")
-    v = np.zeros(n)
+    s = _check_s(s, g.shape[0])
+    v = np.zeros(g.shape[0])
     v[np.argsort(-g, kind="stable")[:s]] = 1.0
     return v
 
@@ -386,7 +385,7 @@ def _reproject(x, s: int):
     return x + (s - float(x.sum())) / float(w.sum()) * w
 
 
-def _face_newton(evaluate, x, prev, point, psi, s: int, tol: float, budget: int):
+def _face_newton(evaluate, x, prev, point, psi, s: int, tol: float):
     """Newton on f over the face of P(n, s) that x approaches.
 
     The face comes from Tapia indicators, the ratios of x to the previous
@@ -404,20 +403,18 @@ def _face_newton(evaluate, x, prev, point, psi, s: int, tol: float, budget: int)
     per try, and every coordinate that lands there is fixed.
 
     The projected point (none when nothing is fixed) and each step cost
-    one evaluate(y, psi) call, at most budget in all.  Returns (calls,
-    (y, psi, point)) for the first point that meets the targets, and
-    (calls, None) when the face has no interior, F(y) is not positive
-    definite, the free block is singular, a second step needs the ratio
-    test or the steps run out.
+    one evaluate(y, psi) call.  Returns (y, psi, point) for the first
+    point that meets the targets, and None when the face has no interior,
+    F(y) is not positive definite or evaluate gives up, the free block is
+    singular, a second step needs the ratio test or the steps run out.
     """
     low = (x < 0.5) & (x < _RATIO * prev)
     high = (x > 0.5) & (1.0 - x < _RATIO * (1.0 - prev))
     free = ~(low | high)
     whole = bool(free.all())
     y = np.where(high, 1.0, np.where(low, 0.0, x))
-    calls = steps = 0
     cut = False
-    while calls < budget:
+    for steps in range(_FACE_STEPS + 1):
         k, m = int(free.sum()), s - int(y[~free].sum())
         if not (0 < m < k or m == k == 0):
             break
@@ -426,12 +423,11 @@ def _face_newton(evaluate, x, prev, point, psi, s: int, tol: float, budget: int)
                 y = _reproject(y, s)
                 if not (y[free].min() > 0.0 and y[free].max() < 1.0):
                     break  # also catches a step that is not finite
-            calls += 1
             point = evaluate(y, psi)
             if not np.isfinite(point[0]):
                 break
             if _met(point, y, s, tol):
-                return calls, (y, psi, point)
+                return y, psi, point
         if k == 0 or steps == _FACE_STEPS:
             break
         _, g, hess, *mixed = point
@@ -470,8 +466,24 @@ def _face_newton(evaluate, x, prev, point, psi, s: int, tol: float, budget: int)
             free[free] = ~hit
         if psi is not None:
             psi += dpsi / damp
-        steps += 1
-    return calls, None
+    return None
+
+
+def _trial(evaluate, x, dx, psi, dpsi, psi0, s: int):
+    """The point (y, psi + dpsi, its evaluation) for y = x + dx re-projected
+    onto e.y = s; None when y is not strictly inside the box or f is not
+    finite there (so also once evaluate has spent its budget).  Raises
+    RuntimeError when psi + dpsi lies farther than _PSI_RUNAWAY from psi0,
+    a test made after the box test."""
+    y = _reproject(x + dx, s)
+    if not (y.min() > 0.0 and y.max() < 1.0):
+        return None
+    if psi is not None:
+        psi += dpsi
+        if not abs(psi - psi0) <= _PSI_RUNAWAY:
+            raise RuntimeError(f"scaling search ran away (psi={psi:.3g})")
+    point = evaluate(y, psi)
+    return (y, psi, point) if np.isfinite(point[0]) else None
 
 
 def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
@@ -480,45 +492,57 @@ def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
     problem.derivatives(x) returns the value, gradient and Hessian of the
     concave objective over P(problem.n, problem.s): a _LinxProblem, of the
     linx program or of another split form F(x) = U^T X U + V^T (I - X) V.
+    Every call goes through one counting closure, evaluate: its count is
+    the result's iterations, and once opts.max_iter calls are spent it
+    makes no more and returns the undefined point (-inf, None, None),
+    which ends the solve as any undefined point does.
+
     A Newton step dx whose decrement lam is at least _CENTRED first tries
     the long step alpha = min(1, _BOX_FRACTION * alpha_box), with
     alpha_box the longest step along dx inside the open box, when alpha
     exceeds 1/(1 + lam).  It evaluates the trial point and its Newton step
     at the same t, and keeps the trial when that step's decrement is at
     most _KEEP * lam, i.e. does not grow; the kept trial's evaluation and
-    step are the next iteration's.  Every other step, and the one after a rejected trial, is
-    the damped step dx / (1 + lam), which self-concordance keeps inside
-    the box and descending.  So each trial costs one derivatives call, and
-    a rejected one counts as an iteration of its own.  Each centred
-    iterate but the first tries _face_newton on the face that its ratio to
-    the previous centred iterate predicts, and returns that face's point
-    when it meets the tolerance; otherwise t grows and the barrier goes on
-    from x.  Stops when the linearization gap meets the tolerance, when
-    max_iter derivatives calls are spent, when a centred iterate misses
-    the tolerance with t above 8 n / tol (the gap there is below n / (2 t)
-    up to rounding, so a larger t cannot help), or when rounding pushes a
-    step out of the open box.
+    step are the next iteration's.  Every other step, and the one after a
+    rejected trial, is the damped step dx / (1 + lam), which
+    self-concordance keeps inside the box and descending.  So each trial,
+    kept or rejected, costs one derivatives call.  Each centred iterate
+    but the first tries _face_newton on the face that its ratio to the
+    previous centred iterate predicts, and returns that face's point when
+    it meets the tolerance; otherwise t grows and the barrier goes on from
+    x.  Stops when the linearization gap meets the tolerance, when the
+    damped step has no point (max_iter derivatives calls are spent, f is
+    undefined there, or rounding pushes it out of the open box), or when
+    a centred iterate misses the tolerance with t above 8 n / tol (the gap
+    there is below n / (2 t) up to rounding, so a larger t cannot help).
 
     Given a starting psi, problem.derivatives(x, psi) must also return
     the psi-derivatives (as _LinxProblem's does for V = I, the linx
     program; a split-form problem such as the limit program is never
-    given a psi), and the engine finds
-    the saddle point, max over x and min over psi, of f(x, psi), which
-    is convex in psi.  Each step, the face finish's too, is then the
-    joint Newton step (dx, dpsi), and max(lam, mu), with mu the decrement
-    of the psi block, takes lam's place above: in the damping, in the
-    long step's rule (which moves psi by alpha dpsi and is rejected when
-    that puts psi farther than _PSI_RUNAWAY from its start) and in the
-    centring test, so t grows when both decrements are below _CENTRED.
-    There is no cap on t, and the solve stops only when also |f_psi| <=
-    SLOPE_TOL.  A damped step that puts psi farther than _PSI_RUNAWAY
-    from its start raises RuntimeError.
+    given a psi), and the engine finds the saddle point, max over x and
+    min over psi, of f(x, psi), which is convex in psi.  Each step, the
+    face finish's too, is then the joint Newton step (dx, dpsi), and
+    max(lam, mu), with mu the decrement of the psi block, takes lam's
+    place above: in the damping, in the long step's rule (which moves psi
+    by alpha dpsi and is rejected when that puts psi farther than
+    _PSI_RUNAWAY from its start) and in the centring test, so t grows when
+    both decrements are below _CENTRED.  There is no cap on t, and the
+    solve stops only when also |f_psi| <= SLOPE_TOL.  A damped step that
+    puts psi farther than _PSI_RUNAWAY from its start raises RuntimeError.
 
     Returns (x, f, gap, iterations, converged, psi), psi None when it is
     not carried.
     """
+    n, s = problem.n, problem.s
+    calls = 0
 
-    n, s, evaluate = problem.n, problem.s, problem.derivatives
+    def evaluate(y, psi):
+        nonlocal calls
+        if calls == opts.max_iter:
+            return NEG_INF, None, None
+        calls += 1
+        return problem.derivatives(y, psi)
+
     x, psi0, prev = np.full(n, s / n), psi, None
     point = evaluate(x, psi)
     if not np.isfinite(point[0]):
@@ -526,18 +550,12 @@ def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
     tol = _gap_tol(opts, point[0])
     t_cap = 8.0 * n / tol
     t = 1.0
-    iters = 0
     step = None  # a kept long step's Newton step, computed at the same t
-    while iters < opts.max_iter:
-        iters += 1
-        if _met(point, x, s, tol):
-            break
+    while not _met(point, x, s, tol):
         dx, dpsi, lam, mu = step or _newton_step(x, point, t)
         if max(lam, mu) < _CENTRED:
             if prev is not None:
-                budget = opts.max_iter - iters
-                calls, face = _face_newton(evaluate, x, prev, point, psi, s, tol, budget)
-                iters += calls
+                face = _face_newton(evaluate, x, prev, point, psi, s, tol)
                 if face is not None:
                     x, psi, point = face
                     break
@@ -550,33 +568,20 @@ def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
         damp = 1.0 + dec
         if dec >= _CENTRED:
             alpha = min(1.0, _BOX_FRACTION / float(np.maximum(-dx / x, dx / (1.0 - x)).max()))
-            if alpha > 1.0 / damp:
+            # a long step that would run psi away is rejected; only a damped one raises
+            held = psi is None or abs(psi + alpha * dpsi - psi0) <= _PSI_RUNAWAY
+            if alpha > 1.0 / damp and held:
                 # the long step, kept when the Newton decrement does not grow there
-                xn = _reproject(x + alpha * dx, s)
-                psin = None if psi is None else psi + alpha * dpsi
-                held = psi is None or abs(psin - psi0) <= _PSI_RUNAWAY
-                if held and xn.min() > 0.0 and xn.max() < 1.0:
-                    pointn = evaluate(xn, psin)
-                    if np.isfinite(pointn[0]):
-                        stepn = _newton_step(xn, pointn, t)
-                        if max(stepn[2], stepn[3]) <= _KEEP * dec:
-                            x, psi, point, step = xn, psin, pointn, stepn
-                            continue
-                    if iters == opts.max_iter:
-                        break
-                    iters += 1  # the rejected trial
-        xn = _reproject(x + dx / damp, s)
-        if not (xn.min() > 0.0 and xn.max() < 1.0):
-            break  # rounding left the open box; x is the last good iterate
-        psin = None
-        if psi is not None:
-            psin = psi + dpsi / damp
-            if not abs(psin - psi0) <= _PSI_RUNAWAY:
-                raise RuntimeError(f"scaling search ran away (psi={psin:.3g})")
-        pointn = evaluate(xn, psin)
-        if not np.isfinite(pointn[0]):
-            break
-        x, psi, point, step = xn, psin, pointn, None
+                trial = _trial(evaluate, x, alpha * dx, psi, alpha * dpsi, psi0, s)
+                if trial is not None:
+                    stepn = _newton_step(trial[0], trial[2], t)
+                    if max(stepn[2], stepn[3]) <= _KEEP * dec:
+                        (x, psi, point), step = trial, stepn
+                        continue
+        trial = _trial(evaluate, x, dx / damp, psi, dpsi / damp, psi0, s)
+        if trial is None:
+            break  # x is the last good iterate
+        (x, psi, point), step = trial, None
     gap = _fw_gap(point[1], x, s)
     converged = gap <= tol and _slope(point) <= SLOPE_TOL
     drift = s - float(x.sum())
@@ -586,7 +591,7 @@ def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
         j = int(np.argmax(np.minimum(x, 1.0 - x)))
         if 0.0 <= x[j] + drift <= 1.0:
             x[j] += drift
-    return x, point[0], max(gap, 0.0), iters, converged, psi
+    return x, point[0], max(gap, 0.0), calls, converged, psi
 
 
 def solve_linx(
@@ -607,9 +612,7 @@ def solve_linx(
     """
     if mask is None:
         mask = Mask.ones(inst.n)
-    s = int(s)
-    if not 0 < s < inst.n:
-        raise ValueError(f"need 0 < s < n, got s={s}, n={inst.n}")
+    s = _check_s(s, inst.n)
     problem = _LinxProblem(inst, mask, gamma, s)
     if not _is_diagonal(problem.U):
         return _result(_maximize_capped_simplex(problem, opts), gamma, mask.label)

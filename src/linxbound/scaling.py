@@ -39,7 +39,7 @@ from enum import Enum
 import numpy as np
 
 from .diagonal import optimal_gamma_diagonal
-from .instance import Instance, Mask, SymMatrix, validate
+from .instance import Instance, Mask, SymMatrix, _check_s, validate
 from .linx import (
     DEFAULT_OPTIONS,
     BoundResult,
@@ -99,9 +99,7 @@ class GammaSearchResult:
 
 
 def classify_regime(inst: Instance, s: int) -> GammaRegime:
-    s = int(s)
-    if not 0 < s < inst.n:
-        raise ValueError(f"need 0 < s < n, got s={s}, n={inst.n}")
+    s = _check_s(s, inst.n)
     if s < inst.rank:
         tag = RegimeTag.INTERIOR_OPTIMUM
     elif s == inst.rank:
@@ -133,9 +131,7 @@ def limit_linx_at_infinity(
     inst: Instance, s: int, opts: SolverOptions = DEFAULT_OPTIONS
 ) -> BoundResult:
     """Value of the scaled bound in the gamma -> inf limit, for s = rank(C)."""
-    s = int(s)
-    if not 0 < s < inst.n:
-        raise ValueError(f"need 0 < s < n, got s={s}, n={inst.n}")
+    s = _check_s(s, inst.n)
     if s != inst.rank:
         raise ValueError(f"limit program requires s = rank, got s={s}, rank={inst.rank}")
     return _result(_maximize_capped_simplex(_limit_problem(inst, s), opts), math.inf, "J")

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from linxbound import Mask, SymMatrix, linx_objective, solve_linx, validate
+from linxbound import Mask, SymMatrix, linx, linx_objective, solve_linx, validate
 from linxbound.cli import _parser, main, parse_args, run
 
 from helpers import gram_matrix
@@ -174,6 +174,13 @@ class TestGammaCommand:
     def test_iteration_cap_exits_2(self, gram8_file):
         status, _ = _run(["gamma", "--input", gram8_file, "--s", "4", "--max-iter", "5"])
         assert status == 2
+
+    def test_runaway_exits_2(self, monkeypatch, gram8_file):
+        # a psi bound this tight stops the first damped step of the search
+        monkeypatch.setattr(linx, "_PSI_RUNAWAY", 1e-3)
+        status, text = _run(["gamma", "--input", gram8_file, "--s", "4"])
+        assert status == 2
+        assert text.startswith("solver error:") and "ran away" in text
 
     def test_limit_regime_marker(self, j2_file):
         status, text = _run(["gamma", "--input", j2_file, "--s", "1"])

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from linxbound import (
-    DiagonalCase,
     Mask,
     SymMatrix,
     check_uniform_optimality,
-    eigenvalue_lower_bound,
     gap_lower_bound_2x2,
     optimal_gamma_2x2,
     optimal_gamma_diagonal,
@@ -20,6 +18,7 @@ from linxbound import (
     solve_xs_equation,
     validate,
 )
+from linxbound.diagonal import DiagonalCase, eigenvalue_lower_bound
 
 from helpers import diagonal_entries, engine_solve
 

@@ -3,7 +3,21 @@
 import numpy as np
 import pytest
 
-from linxbound import Mask, SymMatrix, load_matrix, validate
+from linxbound import (
+    Mask,
+    SymMatrix,
+    check_uniform_optimality,
+    classify_regime,
+    exact_mesp,
+    limit_linx_at_infinity,
+    lmo_capped_simplex,
+    load_matrix,
+    solve_diagonal_linx,
+    solve_linx,
+    solve_xs_equation,
+    validate,
+)
+from linxbound.diagonal import eigenvalue_lower_bound
 
 from helpers import correlation_matrix, gram_matrix
 
@@ -77,6 +91,31 @@ class TestValidate:
     def test_rejects_s_out_of_range(self, s):
         with pytest.raises(ValueError):
             validate(SymMatrix.identity(3), s)
+
+    @pytest.mark.parametrize("s", [0, 4])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda s: validate(SymMatrix.identity(4), s),
+            lambda s: lmo_capped_simplex(np.arange(4.0), s),
+            lambda s: solve_linx(validate(SymMatrix.identity(4), 2), s),
+            lambda s: classify_regime(validate(SymMatrix.identity(4), 2), s),
+            lambda s: limit_linx_at_infinity(validate(SymMatrix.identity(4), 2), s),
+            lambda s: exact_mesp(validate(SymMatrix.identity(4), 2), s),
+            lambda s: solve_diagonal_linx([2.0, 1.5, 0.5, 0.3], s),
+            lambda s: solve_xs_equation([3.0, 2.5, 2.0, 1.5], s),
+            lambda s: check_uniform_optimality([3.0, 2.5, 2.0, 1.5], s, np.full(4, 0.5)),
+            lambda s: eigenvalue_lower_bound(validate(SymMatrix.identity(4), 2), s),
+        ],
+        ids=[
+            "validate", "lmo_capped_simplex", "solve_linx", "classify_regime",
+            "limit_linx_at_infinity", "exact_mesp", "solve_diagonal_linx",
+            "solve_xs_equation", "check_uniform_optimality", "eigenvalue_lower_bound",
+        ],
+    )
+    def test_every_entry_point_needs_s_inside_0_n(self, entry, s):
+        with pytest.raises(ValueError, match=r"need 0 < s < n, got s=\d+, n=4"):
+            entry(s)
 
     def test_s_above_rank_is_accepted(self):
         # degenerate but classifiable; the scaling module handles it

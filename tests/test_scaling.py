@@ -315,8 +315,7 @@ class TestSaddleSteps:
         for k in range(1, 14):
             calls[0] = 0
             search = optimize_gamma(inst, 8, opts=SolverOptions(max_iter=k))
-            assert search.best.iterations <= k
-            assert calls[0] <= k + 1
+            assert calls[0] == search.best.iterations <= k
 
     def test_damped_fallback(self, monkeypatch):
         # reject every long trial: each step then pays for its trial and
@@ -334,8 +333,14 @@ class TestSaddleSteps:
                 for k in range(1, 16):
                     calls[0] = 0
                     search = optimize_gamma(inst, n // 2, opts=SolverOptions(max_iter=k))
-                    assert search.best.iterations <= k
-                    assert calls[0] <= k + 1
+                    assert calls[0] == search.best.iterations <= k
+
+    def test_runaway_raises(self, monkeypatch):
+        # a psi bound this tight stops the first damped step of the search
+        monkeypatch.setattr(linx, "_PSI_RUNAWAY", 1e-3)
+        inst = validate(SymMatrix.from_array(gram_matrix(np.random.default_rng(0), 8)), 4)
+        with pytest.raises(RuntimeError, match="ran away"):
+            optimize_gamma(inst, 4)
 
 
 class TestPsiSlope:
@@ -517,6 +522,15 @@ class TestLimitProgram:
                 x[list(S)] = 1.0
                 want = np.linalg.slogdet(block)[1]
                 assert abs(problem.derivatives(x)[0] - want) <= 1e-9 * max(1.0, abs(want))
+
+    def test_iteration_cap_bounds_the_calls(self, monkeypatch):
+        calls = count_derivative_calls(monkeypatch)
+        inst = validate(SymMatrix.from_array(gram_matrix(np.random.default_rng(0), 16, 8)), 8)
+        assert inst.rank == 8
+        for k in range(1, 30):
+            calls[0] = 0
+            res = limit_linx_at_infinity(inst, 8, SolverOptions(max_iter=k))
+            assert calls[0] == res.iterations <= k
 
     def test_rejects_s_not_equal_rank(self):
         inst = validate(SymMatrix.identity(3), 1)
