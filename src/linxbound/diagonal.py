@@ -19,35 +19,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .instance import Instance, _check_s, _freeze
+from .instance import _check_s, _freeze
 
 UNIT_SNAP = 1e-12   # |d_i - 1| below this counts as exactly 1
 
 
-class DiagonalCase(Enum):
-    BINARY = "BinaryCase"
-    INTERIOR = "InteriorCase"
-    SPLIT_G = "SplitG"
-    SPLIT_E = "SplitE"
-    SPLIT_L = "SplitL"
-
-
 @dataclass(frozen=True, eq=False)
 class DiagonalSolution:
-    """Maximizer for a diagonal instance.
-
-    pivot_value is the s-th coordinate of the sorted maximizer when the
-    active block is interior, NaN otherwise.  x_hat is in the caller's
-    original coordinate order.
-    """
+    """Maximizer for a diagonal instance; x_hat is in the caller's
+    original coordinate order."""
 
     x_hat: np.ndarray
-    pivot_value: float
-    case_tag: DiagonalCase
     value: float
 
 
@@ -114,17 +99,16 @@ def _pivot_root(c: np.ndarray, s: int) -> float:
 def _solve_homogeneous(d: np.ndarray, s: int):
     """Maximizer for a block with every entry on one side of 1.
 
-    Returns (x, case, pivot).  1 <= s <= n; s = n comes up when the
-    budget takes the whole G block.
+    1 <= s <= n; s = n comes up when the budget takes the whole G block.
     """
     n = d.size
     if s == n:
-        return np.ones(n), DiagonalCase.BINARY, math.nan
+        return np.ones(n)
     c = 1.0 / (d * d - 1.0)
     if c[s] - c[s - 1] >= 1.0:
         x = np.zeros(n)
         x[:s] = 1.0
-        return x, DiagonalCase.BINARY, math.nan
+        return x
     t = _pivot_root(c, s)
     x = np.clip(t + c[s - 1] - c, 0.0, 1.0)
     # one linear correction spreads the rounding residual over the
@@ -133,8 +117,7 @@ def _solve_homogeneous(d: np.ndarray, s: int):
     k = int(np.count_nonzero(interior))
     if k:
         x[interior] += (s - float(x.sum())) / k
-        t = float(x[s - 1])
-    return x, DiagonalCase.INTERIOR, t
+    return x
 
 
 def solve_diagonal_linx(d, s: int) -> DiagonalSolution:
@@ -152,24 +135,18 @@ def solve_diagonal_linx(d, s: int) -> DiagonalSolution:
     ds = _snap_units(d[perm])
     n_g = int(np.count_nonzero(ds > 1.0))
     n_e = int(np.count_nonzero(ds == 1.0))
-    pivot = math.nan
     if s <= n_g:
-        sub_x, sub_case, pivot = _solve_homogeneous(ds[:n_g], s)
-        xs = np.concatenate([sub_x, np.zeros(n - n_g)])
-        tag = sub_case if n_g == n else DiagonalCase.SPLIT_G
+        xs = np.concatenate([_solve_homogeneous(ds[:n_g], s), np.zeros(n - n_g)])
     elif s <= n_g + n_e:
         xs = np.concatenate(
             [np.ones(n_g), np.full(n_e, (s - n_g) / n_e), np.zeros(n - n_g - n_e)]
         )
-        tag = DiagonalCase.SPLIT_E
     else:
-        sub_x, sub_case, pivot = _solve_homogeneous(ds[n_g + n_e :], s - n_g - n_e)
-        xs = np.concatenate([np.ones(n_g + n_e), sub_x])
-        tag = sub_case if n_g + n_e == 0 else DiagonalCase.SPLIT_L
+        xs = np.concatenate([np.ones(n_g + n_e), _solve_homogeneous(ds[n_g + n_e :], s - n_g - n_e)])
     x = np.empty(n)
     x[perm] = xs
     value = 0.5 * float(np.sum(np.log((d * d - 1.0) * x + 1.0)))
-    return DiagonalSolution(x_hat=_freeze(x), pivot_value=pivot, case_tag=tag, value=value)
+    return DiagonalSolution(x_hat=_freeze(x), value=value)
 
 
 def check_uniform_optimality(d, s: int, x, tol: float = 1e-8) -> bool:
@@ -261,14 +238,3 @@ def optimal_gamma_2x2(a: float, b: float, c: float) -> float:
         raise ValueError("matrix is not positive definite")
     return (a * a - c * c) / det**2
 
-
-def eigenvalue_lower_bound(inst: Instance, s: int) -> float:
-    """Value of the relaxation at the uniform point, via the spectrum:
-
-        0.5 * sum_i log( (s/n) lambda_i^2 + 1 - s/n ).
-
-    Always a valid lower bound on the (unscaled, unmasked) relaxation.
-    """
-    p = _check_s(s, inst.n) / inst.n
-    w = inst.eigvals
-    return 0.5 * float(np.sum(np.log(p * w * w + 1.0 - p)))

@@ -34,7 +34,9 @@ belong at 0 or 1 come out exactly there, and an interior optimum is
 reached without driving t to 1/tol.  Convergence is certified
 independently of the method by the standard linearization gap max_v
 grad(x) . (v - x) over the vertices v of P(n, s), which upper-bounds the
-suboptimality of x.
+suboptimality of x.  The value and gap that a result reports are
+evaluated once more at its x, in the eigenbasis of C o M (see _certify),
+where large gamma does not round them away.
 
 When C o M is diagonal the objective separates, and solve_linx returns
 the closed-form maximizer of diagonal.solve_diagonal_linx instead: with
@@ -122,14 +124,6 @@ class BoundResult:
         return self.value + self.duality_gap
 
 
-def is_feasible(x, s: int) -> bool:
-    """Membership test for P(n, s) up to TOL_FEAS."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < -TOL_FEAS) or np.any(x > 1.0 + TOL_FEAS):
-        return False
-    return abs(float(x.sum()) - s) <= TOL_FEAS
-
-
 def lmo_capped_simplex(g, s: int) -> np.ndarray:
     """Vertex of P(n, s) maximizing g . x.
 
@@ -164,6 +158,11 @@ def _check_mask(mask: Mask, n: int) -> None:
     """Raises ValueError unless mask has order n."""
     if mask.n != n:
         raise ValueError(f"mask order {mask.n} does not match instance order {n}")
+
+
+def _is_ones(mask: Mask) -> bool:
+    """Whether mask is all ones, so that C o M = C."""
+    return not np.any(mask.matrix.entries != 1.0)
 
 
 def _is_diagonal(A) -> bool:
@@ -594,6 +593,36 @@ def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
     return x, point[0], max(gap, 0.0), calls, converged, psi
 
 
+def _certify(out, gamma: float, s: int, eigvals, eigvecs):
+    """The engine's out with f and the gap re-evaluated once at (x, gamma),
+    in the eigenbasis of A = C o M = Q Diag(lam) Q^T.
+
+    With d = sqrt(gamma lam^2 + 1), U = Q Diag(sqrt(gamma) lam / d) and
+    V = Q Diag(1 / d), F(x) = Q Diag(d) G Diag(d) Q^T for the split form
+    G = U^T X U + V^T (I - X) V = L L^T, none of whose entries exceeds 1
+    in magnitude.  So f = 0.5 * (logdet G + sum log d^2 - s log gamma) and
+
+        grad = 0.5 * (colsum((L^-1 U^T)^2) - colsum((L^-1 V^T)^2)),
+
+    from one triangular solve.  The dense F of the engine rounds away its
+    small eigenvalues once gamma lam_1^2 dwarfs 1; G does not, so this f
+    and gap certify the bound there too.  Where G is not positive definite
+    in floating point, out stands.
+    """
+    x, n = out[0], out[0].shape[0]
+    d = np.sqrt(gamma * eigvals * eigvals + 1.0)
+    V = eigvecs / d
+    U = V * (math.sqrt(gamma) * eigvals)
+    chol = _cholesky((U.T * x) @ U + (V.T * (1.0 - x)) @ V)
+    if chol is None:
+        return out
+    z, _ = sla.lapack.dtrtrs(chol, np.concatenate((U.T, V.T), axis=1), lower=1)
+    cols = (z * z).sum(axis=0)
+    grad = 0.5 * (cols[:n] - cols[n:])
+    f = 0.5 * (_logdet(chol) + 2.0 * float(np.log(d).sum()) - s * math.log(gamma))
+    return (x, f, max(_fw_gap(grad, x, s), 0.0)) + out[3:]
+
+
 def solve_linx(
     inst: Instance,
     s: int,
@@ -603,19 +632,24 @@ def solve_linx(
 ) -> BoundResult:
     """Maximize the relaxation objective over P(n, s).
 
-    mask=None means the all-ones mask (no masking).  On hitting the
-    iteration cap the last iterate is returned with converged=False; its
-    duality_gap still upper-bounds how far the value can be below the
-    true bound.  A diagonal C o M takes the closed form (see the module
-    docstring): iterations is 0, max_iter does not apply, and duality_gap
-    is the linearization gap at the closed-form maximizer.
+    mask=None means the all-ones mask (no masking).  The engine's x_hat,
+    iterations and converged are reported with the value and duality_gap
+    of _certify at x_hat, whose eigenpairs are inst's for the all-ones mask
+    and one eigh of C o M otherwise.  On hitting the iteration cap the last
+    iterate is returned with converged=False; its duality_gap still
+    upper-bounds how far the value can be below the true bound.  A
+    diagonal C o M takes the closed form (see the module docstring):
+    iterations is 0, max_iter does not apply, and duality_gap is the
+    linearization gap at the closed-form maximizer.
     """
     if mask is None:
         mask = Mask.ones(inst.n)
     s = _check_s(s, inst.n)
     problem = _LinxProblem(inst, mask, gamma, s)
     if not _is_diagonal(problem.U):
-        return _result(_maximize_capped_simplex(problem, opts), gamma, mask.label)
+        out = _maximize_capped_simplex(problem, opts)
+        spectrum = (inst.eigvals, inst.eigvecs) if _is_ones(mask) else np.linalg.eigh(problem.U)
+        return _result(_certify(out, problem.gamma, s, *spectrum), gamma, mask.label)
     a = problem.U.diagonal()
     x = solve_diagonal_linx(math.sqrt(problem.gamma) * a, s).x_hat
     coef = problem.gamma * a * a - 1.0

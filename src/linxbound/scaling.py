@@ -22,8 +22,9 @@ and yields one result:
     otherwise         the barrier engine carries psi next to x and takes
                       joint Newton steps on (x, psi) until the linearization
                       gap and |df/dpsi| both meet their targets; that saddle
-                      point (x, psi) is the reported, certified bound at
-                      gamma = e^psi, and nothing is solved after it.
+                      point (x, psi) is the reported bound at gamma = e^psi,
+                      certified in the eigenbasis of C o M, and nothing is
+                      solved after it.
 
 The limit program is the linx evaluator's split form at gamma = 1 (see
 _limit_problem and linx._LinxProblem), so it needs no linear algebra of its
@@ -45,8 +46,10 @@ from .linx import (
     BoundResult,
     NEG_INF,
     SolverOptions,
+    _certify,
     _check_mask,
     _is_diagonal,
+    _is_ones,
     _LinxProblem,
     _maximize_capped_simplex,
     _result,
@@ -158,14 +161,15 @@ def optimize_gamma(
     one where the joint Newton decrement does not grow, and the damped one
     otherwise, as in a fixed-gamma solve.  It stops when the linearization
     gap meets opts' target and |df/dpsi| <= linx.SLOPE_TOL.  That point is
-    best, the result at gamma = e^psi: its x, f(x, psi), gap, steps and
-    convergence, with no solve after it.  A mask whose order is not inst's
-    raises ValueError.
+    best, the result at gamma = e^psi: its x, steps and convergence, and
+    f and the gap evaluated there once more by linx._certify, with the
+    eigenpairs of C o M; nothing is solved after it.  A mask whose order
+    is not inst's raises ValueError.
     """
     s = int(s)
     mask = Mask.ones(inst.n) if mask is None else mask
     _check_mask(mask, inst.n)
-    if not np.any(mask.matrix.entries != 1.0):
+    if _is_ones(mask):
         eff = inst
     else:
         eff = validate(SymMatrix.from_array(inst.C.entries * mask.matrix.entries), s)
@@ -184,5 +188,6 @@ def optimize_gamma(
             # which makes the solve independent of the scale of C
             problem = _LinxProblem(inst, mask, 1.0, s)
             out = _maximize_capped_simplex(problem, opts, psi=math.log(gamma_diag))
-            best = _result(out, math.exp(out[5]), mask.label)
+            gamma = math.exp(out[5])
+            best = _result(_certify(out, gamma, s, eff.eigvals, eff.eigvecs), gamma, mask.label)
     return GammaSearchResult(regime, best)

@@ -1,11 +1,18 @@
-"""Shared random-instance generators and solver shortcuts for the test suite."""
+"""Shared random-instance generators, solver shortcuts and test oracles for
+the test suite."""
 
 import math
 
 import numpy as np
 
 from linxbound import Mask
-from linxbound.linx import DEFAULT_OPTIONS, _LinxProblem, _maximize_capped_simplex, _result
+from linxbound.linx import (
+    DEFAULT_OPTIONS,
+    TOL_FEAS,
+    _LinxProblem,
+    _maximize_capped_simplex,
+    _result,
+)
 
 
 def gram_matrix(rng, n, r=None):
@@ -80,7 +87,8 @@ def count_derivative_calls(monkeypatch):
 
 
 def engine_solve(inst, s, mask=None, gamma=1.0, opts=DEFAULT_OPTIONS):
-    """solve_linx by the barrier engine alone, also where C o M is diagonal.
+    """solve_linx by the barrier engine alone, also where C o M is diagonal,
+    and with the engine's own value and gap, not those of linx._certify.
 
     solve_linx answers a diagonal C o M by its closed form; this keeps the
     engine's face finish and iteration cap tested on such separable inputs.
@@ -88,3 +96,23 @@ def engine_solve(inst, s, mask=None, gamma=1.0, opts=DEFAULT_OPTIONS):
     mask = Mask.ones(inst.n) if mask is None else mask
     problem = _LinxProblem(inst, mask, gamma, s)
     return _result(_maximize_capped_simplex(problem, opts), gamma, mask.label)
+
+
+def is_feasible(x, s):
+    """Membership test for P(n, s) up to TOL_FEAS."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < -TOL_FEAS) or np.any(x > 1.0 + TOL_FEAS):
+        return False
+    return abs(float(x.sum()) - s) <= TOL_FEAS
+
+
+def eigenvalue_lower_bound(inst, s):
+    """Value of the relaxation at the uniform point, via the spectrum:
+
+        0.5 * sum_i log( (s/n) lambda_i^2 + 1 - s/n ).
+
+    Always a valid lower bound on the (unscaled, unmasked) relaxation.
+    """
+    p = s / inst.n
+    w = inst.eigvals
+    return 0.5 * float(np.sum(np.log(p * w * w + 1.0 - p)))

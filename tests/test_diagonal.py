@@ -18,9 +18,7 @@ from linxbound import (
     solve_xs_equation,
     validate,
 )
-from linxbound.diagonal import DiagonalCase, eigenvalue_lower_bound
-
-from helpers import diagonal_entries, engine_solve
+from helpers import diagonal_entries, eigenvalue_lower_bound, engine_solve
 
 HALF = math.sqrt(2.0) / 2.0
 
@@ -96,41 +94,41 @@ class TestDiagonalSolve:
         sol = solve_diagonal_linx([2.0, 1.5, 0.5], 1)
         np.testing.assert_allclose(sol.x_hat, [11 / 15, 4 / 15, 0.0], atol=1e-12)
         assert sol.value == pytest.approx(0.5 * math.log(64 / 15), abs=1e-12)
-        assert sol.pivot_value == pytest.approx(11 / 15, abs=1e-12)
+        # the pivot, the s-th entry in non-increasing order of d, is the root
+        assert sol.x_hat[0] == pytest.approx(solve_xs_equation([2.0, 1.5], 1), abs=1e-15)
 
     def test_flat_entries_share_leftover_budget(self):
         sol = solve_diagonal_linx([3.0, 1.0, 1.0, 0.5], 2)
-        np.testing.assert_allclose(sol.x_hat, [1.0, 0.5, 0.5, 0.0], atol=1e-14)
-        assert sol.case_tag is DiagonalCase.SPLIT_E
+        # the budget lands inside the flat block: it is split evenly there,
+        # with the entries above 1 at 1 and those below at 0
+        np.testing.assert_array_equal(sol.x_hat, [1.0, 0.5, 0.5, 0.0])
 
     def test_wide_breakpoint_gap_gives_binary(self):
         # 1/(1.44-1) - 1/3 = 1.939 >= 1
         sol = solve_diagonal_linx([2.0, 1.2], 1)
         np.testing.assert_array_equal(sol.x_hat, [1.0, 0.0])
-        assert sol.case_tag is DiagonalCase.BINARY
+        with pytest.raises(ValueError, match="binary"):
+            solve_xs_equation([2.0, 1.2], 1)
 
     def test_unsorted_input_is_permuted_back(self):
         sol = solve_diagonal_linx([0.5, 2.0, 1.5], 1)
         np.testing.assert_allclose(sol.x_hat, [0.0, 11 / 15, 4 / 15], atol=1e-12)
 
-    def test_case_tags(self):
-        assert solve_diagonal_linx([2.0, 1.5, 0.5], 1).case_tag is DiagonalCase.SPLIT_G
-        assert solve_diagonal_linx([2.0, 1.5], 1).case_tag is DiagonalCase.INTERIOR
-        assert solve_diagonal_linx([0.9, 0.5, 0.4], 2).case_tag is DiagonalCase.INTERIOR
-        assert solve_diagonal_linx([2.0, 0.9, 0.8], 2).case_tag is DiagonalCase.SPLIT_L
-
     def test_exactly_one_block_mode_fires(self):
-        # per homogeneous block the maximizer is binary or has an interior pivot
+        # per homogeneous block the maximizer is binary or has an interior
+        # pivot, the s-th entry of x_hat in non-increasing order of d
         rng = np.random.default_rng(21)
         for _ in range(50):
             n = int(rng.integers(2, 10))
             s = int(rng.integers(1, n))
-            sol = solve_diagonal_linx(diagonal_entries(rng, n), s)
-            interior = (sol.x_hat > 1e-12) & (sol.x_hat < 1.0 - 1e-12)
-            if math.isnan(sol.pivot_value):
-                assert not interior.any() or sol.case_tag is DiagonalCase.SPLIT_E
+            d = diagonal_entries(rng, n)
+            sol = solve_diagonal_linx(d, s)
+            xs = sol.x_hat[np.argsort(-d, kind="stable")]
+            interior = (xs > 1e-12) & (xs < 1.0 - 1e-12)
+            if interior.any():
+                assert 0.0 < xs[s - 1] < 1.0
             else:
-                assert 0.0 < sol.pivot_value < 1.0
+                np.testing.assert_array_equal(xs, np.arange(n) < s)
 
     def test_sorted_d_gives_sorted_x(self):
         rng = np.random.default_rng(22)

@@ -20,7 +20,7 @@ from linxbound import (
 )
 
 from linxbound import linx
-from linxbound.linx import _kkt_step, _LinxProblem, is_feasible
+from linxbound.linx import _kkt_step, _LinxProblem
 
 from helpers import (
     correlation_matrix,
@@ -30,6 +30,7 @@ from helpers import (
     gram_matrix,
     hessian_error,
     interior_point,
+    is_feasible,
 )
 
 HALF = math.sqrt(2.0) / 2.0
@@ -560,6 +561,32 @@ class TestCertificate:
         res = engine_solve(inst, 1, gamma=0.25, opts=SolverOptions(max_iter=1))
         if not res.converged:
             assert not certify_gamma_optimal(res)
+
+
+class TestEigenbasisCertificate:
+    def test_matches_the_dense_evaluation(self):
+        # where gamma lam^2 is moderate both evaluations are accurate
+        rng = np.random.default_rng(48)
+        for _ in range(20):
+            n = int(rng.integers(3, 11))
+            s = int(rng.integers(1, n))
+            inst = _instance(gram_matrix(rng, n), s)
+            mask = Mask.from_matrix(SymMatrix.from_array(correlation_matrix(rng, n)))
+            gamma = float(np.exp(rng.uniform(-1.5, 1.5)))
+            x = interior_point(rng, n, s)
+            x += (s - x.sum()) / n
+            lam, q = np.linalg.eigh(inst.C.entries * mask.matrix.entries)
+            _, f, gap, *_ = linx._certify((x, None, None, 0, False, None), gamma, s, lam, q)
+            grad = linx_gradient(inst, mask, gamma, x)
+            assert f == pytest.approx(linx_objective(inst, mask, gamma, x), rel=1e-12, abs=1e-12)
+            assert gap == pytest.approx(max(linx._fw_gap(grad, x, s), 0.0), abs=1e-11)
+
+    def test_keeps_the_engine_numbers_where_g_does_not_factor(self, monkeypatch):
+        inst = _instance(gram_matrix(np.random.default_rng(49), 5), 2)
+        problem = _LinxProblem(inst, Mask.ones(5), 1.0, 2)
+        out = linx._maximize_capped_simplex(problem, linx.DEFAULT_OPTIONS)
+        monkeypatch.setattr(linx, "_cholesky", lambda mat: None)
+        assert linx._certify(out, 1.0, 2, inst.eigvals, inst.eigvecs) is out
 
 
 def test_is_feasible():
