@@ -40,7 +40,8 @@ _LOG_DIVISORS = {"e": 1.0, "2": math.log(2.0), "10": math.log(10.0)}
 _ROW_FIELDS = tuple(f.name for f in dataclasses.fields(GapReportRow))
 
 # the report and row keys that hold entropies, which --log-base converts
-_ENTROPIES = {"value", "duality_gap", "plain_bound", "masked_bound", "gap", "theoretical_floor"}
+_ENTROPIES = {"value", "duality_gap", "upper_bound", "plain_bound", "masked_bound", "gap",
+              "theoretical_floor"}
 
 
 @functools.cache
@@ -194,8 +195,11 @@ def _status(converged: bool) -> int:
 
 
 def _bound_fields(res: BoundResult) -> dict:
-    """The value, x_hat and duality_gap keys of a report on res."""
-    return {"value": res.value, "x_hat": res.x_hat.tolist(), "duality_gap": res.duality_gap}
+    """The value, x_hat, duality_gap and upper_bound keys of a report on res:
+    value is f(x_hat), and upper_bound = value + duality_gap the certified
+    bound."""
+    return {"value": res.value, "x_hat": res.x_hat.tolist(), "duality_gap": res.duality_gap,
+            "upper_bound": res.upper_bound}
 
 
 def _dispatch(config: argparse.Namespace) -> tuple[int, dict]:
@@ -243,8 +247,8 @@ def _dispatch(config: argparse.Namespace) -> tuple[int, dict]:
             "value": search.bound_value,
             "regime": search.regime.tag.value,
         }
-        if config.command == "bound" and search.best is not None:
-            # value is already in place; x_hat and duality_gap follow regime
+        if search.best is not None:
+            # value is already in place; the other bound fields follow regime
             report.update(_bound_fields(search.best))
         return _status(search.converged), report
 

@@ -182,6 +182,25 @@ def validate(C: SymMatrix, s: int) -> Instance:
     classifies that case as degenerate rather than rejecting it here.
     """
     _check_s(s, C.n)
+    return _spectral(C)
+
+
+def _masked(inst: Instance, mask: Mask) -> Instance:
+    """The instance of C o M, the matrix that the bound sees.
+
+    inst itself for the all-ones mask; otherwise C o M with validate's
+    checks of its diagonal, PSD-ness and eigendecomposition, and its own
+    spectrum.  Raises ValueError unless mask has inst's order.
+    """
+    if mask.n != inst.n:
+        raise ValueError(f"mask order {mask.n} does not match instance order {inst.n}")
+    if not np.any(mask.matrix.entries != 1.0):
+        return inst
+    return _spectral(SymMatrix(_freeze(inst.C.entries * mask.matrix.entries)))
+
+
+def _spectral(C: SymMatrix) -> Instance:
+    """validate's body, which needs no s."""
     d = np.diagonal(C.entries)
     if np.any(d <= 0.0):
         raise ValueError("all diagonal entries must be positive")

@@ -35,11 +35,15 @@ reached without driving t to 1/tol.  Convergence is certified
 independently of the method by the standard linearization gap max_v
 grad(x) . (v - x) over the vertices v of P(n, s), which upper-bounds the
 suboptimality of x.  The value and gap that a result reports are
-evaluated once more at its x, in the eigenbasis of C o M (see _certify),
-where large gamma does not round them away.
+evaluated once more at its x, in the eigenbasis of C o M (see
+_eigen_point), where large gamma does not round them away; the public
+evaluators linx_objective and linx_gradient are that same evaluation.
 
-When C o M is diagonal the objective separates, and solve_linx returns
-the closed-form maximizer of diagonal.solve_diagonal_linx instead: with
+C o M and its spectrum come from one place, instance._masked, and every
+bound at a finite gamma from one solve, _solve: solve_linx calls it at the
+given gamma, and optimize_gamma's interior regime with psi carried.  When
+C o M is diagonal the objective separates, and _solve returns the
+closed-form maximizer of diagonal.solve_diagonal_linx instead: with
 a = diag(C o M), gamma a_i^2 = (sqrt(gamma) a_i)^2, so the program is the
 unscaled one of Diag(sqrt(gamma) a), shifted by -s log(gamma) / 2.
 
@@ -63,13 +67,12 @@ import numpy as np
 import scipy.linalg as sla
 
 from .diagonal import solve_diagonal_linx
-from .instance import Instance, Mask, _check_s, _freeze
+from .instance import Instance, Mask, _check_s, _freeze, _masked
 
 NEG_INF = float("-inf")
 
 _CENTRED = 0.25      # Newton decrement below which an iterate counts as centred
 _BOX_FRACTION = 0.7  # share of the longest step inside the box that a long step takes
-_KEEP = 1.0          # largest ratio of a long step's Newton decrement to the last that keeps it
 _T_GROWTH = 8.0      # barrier weight factor per centred iterate
 _RATIO = 0.4         # drop in distance to a bound between centred iterates that fixes x_i
 _FACE_STEPS = 4      # Newton steps allowed on a predicted face
@@ -154,22 +157,6 @@ def _check_gamma(gamma) -> float:
     return float(gamma)
 
 
-def _check_mask(mask: Mask, n: int) -> None:
-    """Raises ValueError unless mask has order n."""
-    if mask.n != n:
-        raise ValueError(f"mask order {mask.n} does not match instance order {n}")
-
-
-def _is_ones(mask: Mask) -> bool:
-    """Whether mask is all ones, so that C o M = C."""
-    return not np.any(mask.matrix.entries != 1.0)
-
-
-def _is_diagonal(A) -> bool:
-    """Whether A = C o M has no nonzero off-diagonal entry, so f separates."""
-    return not np.any(A - np.diag(np.diagonal(A)))
-
-
 def _result(out, gamma: float, mask_id: str) -> BoundResult:
     """BoundResult from a solve's (x, f, gap, iterations, converged, psi)."""
     x, f, gap, iters, converged, _ = out
@@ -203,8 +190,8 @@ def _cho_inverse(chol):
 
 
 class _LinxProblem:
-    """Evaluation machinery for one (instance, mask, gamma) triple, or
-    for another program of the same split form.
+    """Evaluation machinery for the linx program of one masked matrix
+    A = C o M at one gamma, or for another program of the same split form.
 
     It evaluates f(x) = 0.5 * (logdet F(x) - shift) for
 
@@ -230,21 +217,19 @@ class _LinxProblem:
 
     They hold for V = I only; no split problem is given a psi.
 
-    A diagonal A takes the same formulas; solve_linx and the scaling
-    search send it to the closed form instead, but linx_objective and
-    linx_gradient evaluate it here.  A gamma that is not finite and
-    positive is rejected here, for every caller.
+    A diagonal A takes the same formulas; _solve sends it to the closed
+    form instead.  It knows nothing of masks or instances: A comes formed,
+    and gamma checked, from its caller.
     """
 
     V = None
 
-    def __init__(self, inst: Instance, mask: Mask, gamma: float, s: int):
-        _check_mask(mask, inst.n)
-        self.U = self.Ut = inst.C.entries * mask.matrix.entries  # A^T = A
-        self.n = inst.n
-        self.gamma = _check_gamma(gamma)
+    def __init__(self, A, gamma: float, s: int):
+        self.U = self.Ut = A  # A^T = A
+        self.n = A.shape[0]
+        self.gamma = gamma
         self.s = s
-        self.shift = s * math.log(self.gamma)
+        self.shift = s * math.log(gamma)
 
     @classmethod
     def split(cls, U, V, s: int, shift: float):
@@ -293,28 +278,64 @@ class _LinxProblem:
         return out + ((f_psi, f_pp, f_xp),)
 
 
+def _eigen_point(eff: Instance, gamma: float, s: int, x):
+    """(f, grad) at (x, gamma), evaluated in the eigenbasis of
+    A = C o M = eff.C = Q Diag(lam) Q^T; None where G below is not
+    positive definite in floating point.
+
+    With d = sqrt(gamma lam^2 + 1), U = Q Diag(sqrt(gamma) lam / d) and
+    V = Q Diag(1 / d), F(x) = Q Diag(d) G Diag(d) Q^T for the split form
+    G = U^T X U + V^T (I - X) V = L L^T, none of whose entries exceeds 1
+    in magnitude.  So f = 0.5 * (logdet G + sum log d^2 - s log gamma) and
+
+        grad = 0.5 * (colsum((L^-1 U^T)^2) - colsum((L^-1 V^T)^2)),
+
+    from one triangular solve.  The dense F of the engine rounds away its
+    small eigenvalues once gamma lam_1^2 dwarfs 1; G does not, so this f
+    and its gap certify the bound there too.
+    """
+    n = x.shape[0]
+    d = np.sqrt(gamma * eff.eigvals * eff.eigvals + 1.0)
+    V = eff.eigvecs / d
+    U = V * (math.sqrt(gamma) * eff.eigvals)
+    chol = _cholesky((U.T * x) @ U + (V.T * (1.0 - x)) @ V)
+    if chol is None:
+        return None
+    z, _ = sla.lapack.dtrtrs(chol, np.concatenate((U.T, V.T), axis=1), lower=1)
+    cols = (z * z).sum(axis=0)
+    f = 0.5 * (_logdet(chol) + 2.0 * float(np.log(d).sum()) - s * math.log(gamma))
+    return f, 0.5 * (cols[:n] - cols[n:])
+
+
+def _public_point(inst: Instance, mask: Mask, gamma: float, x):
+    """_eigen_point for the public evaluators, with s = sum(x) rounded to
+    the nearest integer: s is a fixed property of the feasible set, so it
+    must not drift when x is perturbed off the simplex (finite-difference
+    probes rely on this)."""
+    x = np.asarray(x, dtype=float)
+    return _eigen_point(_masked(inst, mask), _check_gamma(gamma), round(float(x.sum())), x)
+
+
 def linx_objective(inst: Instance, mask: Mask, gamma: float, x) -> float:
     """Objective value at x; -inf when F(x) is not positive definite.
 
-    The -s log(gamma) correction uses sum(x) rounded to the nearest
-    integer: s is a fixed property of the feasible set, so it must not
-    drift when x is perturbed off the simplex (finite-difference probes
-    rely on this).
+    It is the evaluation that certifies a solve's value, so at a result's
+    x_hat and gamma it returns that result's value.
     """
-    x = np.asarray(x, dtype=float)
-    return _LinxProblem(inst, mask, gamma, round(float(x.sum()))).derivatives(x)[0]
+    point = _public_point(inst, mask, gamma, x)
+    return NEG_INF if point is None else point[0]
 
 
 def linx_gradient(inst: Instance, mask: Mask, gamma: float, x) -> np.ndarray:
-    """Analytic gradient: 0.5 * (gamma [A F^-1 A]_ii - [F^-1]_ii), A = C o M.
+    """Analytic gradient: 0.5 * (gamma [A F^-1 A]_ii - [F^-1]_ii), A = C o M,
+    from the evaluation of linx_objective.
 
     Raises when F(x) is not positive definite.
     """
-    x = np.asarray(x, dtype=float)
-    _, grad, _ = _LinxProblem(inst, mask, gamma, round(float(x.sum()))).derivatives(x)
-    if grad is None:
+    point = _public_point(inst, mask, gamma, x)
+    if point is None:
         raise np.linalg.LinAlgError("F(x) is not positive definite")
-    return grad
+    return point[1]
 
 
 def _kkt_step(grad, H, border=None):
@@ -501,8 +522,8 @@ def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
     alpha_box the longest step along dx inside the open box, when alpha
     exceeds 1/(1 + lam).  It evaluates the trial point and its Newton step
     at the same t, and keeps the trial when that step's decrement is at
-    most _KEEP * lam, i.e. does not grow; the kept trial's evaluation and
-    step are the next iteration's.  Every other step, and the one after a
+    most lam, i.e. does not grow; the kept trial's evaluation and step are
+    the next iteration's.  Every other step, and the one after a
     rejected trial, is the damped step dx / (1 + lam), which
     self-concordance keeps inside the box and descending.  So each trial,
     kept or rejected, costs one derivatives call.  Each centred iterate
@@ -574,7 +595,7 @@ def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
                 trial = _trial(evaluate, x, alpha * dx, psi, alpha * dpsi, psi0, s)
                 if trial is not None:
                     stepn = _newton_step(trial[0], trial[2], t)
-                    if max(stepn[2], stepn[3]) <= _KEEP * dec:
+                    if max(stepn[2], stepn[3]) <= dec:
                         (x, psi, point), step = trial, stepn
                         continue
         trial = _trial(evaluate, x, dx / damp, psi, dpsi / damp, psi0, s)
@@ -593,34 +614,43 @@ def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
     return x, point[0], max(gap, 0.0), calls, converged, psi
 
 
-def _certify(out, gamma: float, s: int, eigvals, eigvecs):
-    """The engine's out with f and the gap re-evaluated once at (x, gamma),
-    in the eigenbasis of A = C o M = Q Diag(lam) Q^T.
+def _solve(eff: Instance, s: int, gamma: float, label: str, opts: SolverOptions,
+           search: bool = False) -> BoundResult:
+    """The bound of A = C o M = eff.C, labelled label: the one solve behind
+    solve_linx and optimize_gamma's interior regime.
 
-    With d = sqrt(gamma lam^2 + 1), U = Q Diag(sqrt(gamma) lam / d) and
-    V = Q Diag(1 / d), F(x) = Q Diag(d) G Diag(d) Q^T for the split form
-    G = U^T X U + V^T (I - X) V = L L^T, none of whose entries exceeds 1
-    in magnitude.  So f = 0.5 * (logdet G + sum log d^2 - s log gamma) and
-
-        grad = 0.5 * (colsum((L^-1 U^T)^2) - colsum((L^-1 V^T)^2)),
-
-    from one triangular solve.  The dense F of the engine rounds away its
-    small eigenvalues once gamma lam_1^2 dwarfs 1; G does not, so this f
-    and gap certify the bound there too.  Where G is not positive definite
-    in floating point, out stands.
+    A diagonal A takes the closed form at gamma (see the module docstring):
+    iterations is 0, max_iter does not apply, and duality_gap is the
+    linearization gap at the closed-form maximizer.  Otherwise the barrier
+    engine runs, with psi = log(gamma) carried next to x as its start when
+    search is set, and the result is at gamma = e^psi of its last point.
+    Its x_hat, iterations and converged are the engine's; its value and
+    duality_gap are f and the linearization gap of _eigen_point at
+    (x_hat, gamma), or the engine's own where G does not factor.  On
+    hitting the iteration cap the last iterate is returned with
+    converged=False; its duality_gap still upper-bounds how far the value
+    can be below the true bound.
     """
-    x, n = out[0], out[0].shape[0]
-    d = np.sqrt(gamma * eigvals * eigvals + 1.0)
-    V = eigvecs / d
-    U = V * (math.sqrt(gamma) * eigvals)
-    chol = _cholesky((U.T * x) @ U + (V.T * (1.0 - x)) @ V)
-    if chol is None:
-        return out
-    z, _ = sla.lapack.dtrtrs(chol, np.concatenate((U.T, V.T), axis=1), lower=1)
-    cols = (z * z).sum(axis=0)
-    grad = 0.5 * (cols[:n] - cols[n:])
-    f = 0.5 * (_logdet(chol) + 2.0 * float(np.log(d).sum()) - s * math.log(gamma))
-    return (x, f, max(_fw_gap(grad, x, s), 0.0)) + out[3:]
+    gamma = _check_gamma(gamma)
+    A = eff.C.entries
+    if not np.any(A - np.diag(eff.d)):
+        x = solve_diagonal_linx(math.sqrt(gamma) * eff.d, s).x_hat
+        coef = gamma * eff.d * eff.d - 1.0
+
+        def value(y):
+            return 0.5 * (float(np.log(coef * y + 1.0).sum()) - s * math.log(gamma))
+
+        gap = max(_fw_gap(0.5 * coef / (coef * x + 1.0), x, s), 0.0)
+        tol = _gap_tol(opts, value(np.full(eff.n, s / eff.n)))
+        return _result((x, value(x), gap, 0, gap <= tol, None), gamma, label)
+    psi = math.log(gamma) if search else None
+    x, f, gap, iters, converged, psi = _maximize_capped_simplex(_LinxProblem(A, gamma, s), opts, psi)
+    if search:
+        gamma = math.exp(psi)
+    point = _eigen_point(eff, gamma, s, x)
+    if point is not None:
+        f, gap = point[0], max(_fw_gap(point[1], x, s), 0.0)
+    return _result((x, f, gap, iters, converged, psi), gamma, label)
 
 
 def solve_linx(
@@ -630,36 +660,16 @@ def solve_linx(
     gamma: float = 1.0,
     opts: SolverOptions = DEFAULT_OPTIONS,
 ) -> BoundResult:
-    """Maximize the relaxation objective over P(n, s).
+    """Maximize the relaxation objective over P(n, s) at gamma.
 
-    mask=None means the all-ones mask (no masking).  The engine's x_hat,
-    iterations and converged are reported with the value and duality_gap
-    of _certify at x_hat, whose eigenpairs are inst's for the all-ones mask
-    and one eigh of C o M otherwise.  On hitting the iteration cap the last
-    iterate is returned with converged=False; its duality_gap still
-    upper-bounds how far the value can be below the true bound.  A
-    diagonal C o M takes the closed form (see the module docstring):
-    iterations is 0, max_iter does not apply, and duality_gap is the
-    linearization gap at the closed-form maximizer.
+    mask=None means the all-ones mask (no masking).  This is _solve of
+    instance._masked(inst, mask): the barrier engine's x_hat, iterations
+    and converged, with the value and duality_gap that linx_objective and
+    linx_gradient give at x_hat, or the closed form of a diagonal C o M.
     """
-    if mask is None:
-        mask = Mask.ones(inst.n)
     s = _check_s(s, inst.n)
-    problem = _LinxProblem(inst, mask, gamma, s)
-    if not _is_diagonal(problem.U):
-        out = _maximize_capped_simplex(problem, opts)
-        spectrum = (inst.eigvals, inst.eigvecs) if _is_ones(mask) else np.linalg.eigh(problem.U)
-        return _result(_certify(out, problem.gamma, s, *spectrum), gamma, mask.label)
-    a = problem.U.diagonal()
-    x = solve_diagonal_linx(math.sqrt(problem.gamma) * a, s).x_hat
-    coef = problem.gamma * a * a - 1.0
-
-    def value(y):
-        return 0.5 * (float(np.log(coef * y + 1.0).sum()) - problem.shift)
-
-    gap = max(_fw_gap(0.5 * coef / (coef * x + 1.0), x, s), 0.0)
-    tol = _gap_tol(opts, value(np.full(inst.n, s / inst.n)))
-    return _result((x, value(x), gap, 0, gap <= tol, None), gamma, mask.label)
+    mask = Mask.ones(inst.n) if mask is None else mask
+    return _solve(_masked(inst, mask), s, gamma, mask.label, opts)
 
 
 def certify_gamma_optimal(result: BoundResult) -> bool:

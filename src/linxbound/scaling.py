@@ -26,6 +26,10 @@ and yields one result:
                       certified in the eigenbasis of C o M, and nothing is
                       solved after it.
 
+Both paths are one call of linx._solve on the masked instance that
+instance._masked forms once per search, the same solve that solve_linx
+makes at a fixed gamma.
+
 The limit program is the linx evaluator's split form at gamma = 1 (see
 _limit_problem and linx._LinxProblem), so it needs no linear algebra of its
 own and is maximized by the same barrier engine as the linx bound.
@@ -40,20 +44,16 @@ from enum import Enum
 import numpy as np
 
 from .diagonal import optimal_gamma_diagonal
-from .instance import Instance, Mask, SymMatrix, _check_s, validate
+from .instance import Instance, Mask, _check_s, _masked
 from .linx import (
     DEFAULT_OPTIONS,
     BoundResult,
     NEG_INF,
     SolverOptions,
-    _certify,
-    _check_mask,
-    _is_diagonal,
-    _is_ones,
     _LinxProblem,
     _maximize_capped_simplex,
     _result,
-    solve_linx,
+    _solve,
 )
 
 
@@ -150,29 +150,27 @@ def optimize_gamma(
 
     The regime (and the limit program, when it applies) is keyed to the
     rank of the masked matrix C o M, since that is the matrix the bound
-    actually sees.  In the s = rank regime best is limit_linx_at_infinity
-    of C o M, at gamma = inf, labelled with mask; in the s > rank regime
-    nothing is solved and best is None.  In the interior regime a
-    separable C o M takes one closed-form solve_linx at gamma = 1/d_s^2,
-    with iterations 0.  Any other input, n = 2 included, goes to
-    _maximize_capped_simplex, which, started at the psi that is optimal
-    for the diagonal of C o M, finds the saddle point (x, psi) of f, max
-    over x and min over psi = log(gamma), by joint Newton steps: a long
-    one where the joint Newton decrement does not grow, and the damped one
-    otherwise, as in a fixed-gamma solve.  It stops when the linearization
-    gap meets opts' target and |df/dpsi| <= linx.SLOPE_TOL.  That point is
-    best, the result at gamma = e^psi: its x, steps and convergence, and
-    f and the gap evaluated there once more by linx._certify, with the
-    eigenpairs of C o M; nothing is solved after it.  A mask whose order
-    is not inst's raises ValueError.
+    actually sees; instance._masked forms it, with its spectrum, once.  In
+    the s = rank regime best is limit_linx_at_infinity of C o M, at
+    gamma = inf, labelled with mask; in the s > rank regime nothing is
+    solved and best is None.  In the interior regime best is one
+    linx._solve of C o M, started at the gamma that is optimal for the
+    diagonal of C o M, which makes it independent of the scale of C.  A
+    separable C o M takes the closed form there, gamma = 1/d_s^2, with
+    iterations 0.  Any other input, n = 2 included, runs the barrier
+    engine with psi = log(gamma) carried next to x, and finds the saddle
+    point (x, psi) of f, max over x and min over psi, by joint Newton
+    steps: a long one where the joint Newton decrement does not grow, and
+    the damped one otherwise, as in a fixed-gamma solve.  It stops when
+    the linearization gap meets opts' target and |df/dpsi| <=
+    linx.SLOPE_TOL.  That point is best, the result at gamma = e^psi: its
+    x, steps and convergence, and f and the gap evaluated there once more
+    in the eigenbasis of C o M; nothing is solved after it.  A mask whose
+    order is not inst's raises ValueError.
     """
     s = int(s)
     mask = Mask.ones(inst.n) if mask is None else mask
-    _check_mask(mask, inst.n)
-    if _is_ones(mask):
-        eff = inst
-    else:
-        eff = validate(SymMatrix.from_array(inst.C.entries * mask.matrix.entries), s)
+    eff = _masked(inst, mask)
     regime = classify_regime(eff, s)
 
     if regime.tag is RegimeTag.UNBOUNDED_BELOW:
@@ -181,13 +179,5 @@ def optimize_gamma(
         best = replace(limit_linx_at_infinity(eff, s, opts), mask_id=mask.label)
     else:
         gamma_diag = optimal_gamma_diagonal(np.sort(eff.d)[::-1], s)
-        if _is_diagonal(eff.C.entries):
-            best = solve_linx(inst, s, mask, gamma_diag, opts)
-        else:
-            # start from the scaling that is optimal for the diagonal of C o M,
-            # which makes the solve independent of the scale of C
-            problem = _LinxProblem(inst, mask, 1.0, s)
-            out = _maximize_capped_simplex(problem, opts, psi=math.log(gamma_diag))
-            gamma = math.exp(out[5])
-            best = _result(_certify(out, gamma, s, eff.eigvals, eff.eigvecs), gamma, mask.label)
+        best = _solve(eff, s, gamma_diag, mask.label, opts, search=True)
     return GammaSearchResult(regime, best)

@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 
-from linxbound import Mask
+from linxbound import Mask, linx
+from linxbound.instance import _masked
 from linxbound.linx import (
     DEFAULT_OPTIONS,
     TOL_FEAS,
@@ -86,16 +87,45 @@ def count_derivative_calls(monkeypatch):
     return calls
 
 
+def linx_problem(inst, mask, gamma, s):
+    """The engine's dense evaluator of the linx program of C o M at gamma."""
+    return _LinxProblem(_masked(inst, mask).C.entries, gamma, s)
+
+
 def engine_solve(inst, s, mask=None, gamma=1.0, opts=DEFAULT_OPTIONS):
     """solve_linx by the barrier engine alone, also where C o M is diagonal,
-    and with the engine's own value and gap, not those of linx._certify.
+    and with the engine's own value and gap, not those of the eigenbasis
+    evaluation that certifies a solve.
 
     solve_linx answers a diagonal C o M by its closed form; this keeps the
     engine's face finish and iteration cap tested on such separable inputs.
     """
     mask = Mask.ones(inst.n) if mask is None else mask
-    problem = _LinxProblem(inst, mask, gamma, s)
+    problem = linx_problem(inst, mask, gamma, s)
     return _result(_maximize_capped_simplex(problem, opts), gamma, mask.label)
+
+
+def reject_long_steps(monkeypatch):
+    """Rejects every long trial of the engine from now on: each still costs
+    its evaluation, as a trial whose Newton decrement grows does, and the
+    damped step follows it.
+
+    A damped trial is told from a long one by its step, which is the last
+    Newton step divided by 1 + max(lam, mu)."""
+    newton_step, trial = linx._newton_step, linx._trial
+    last = [None]
+
+    def recorded(*args):
+        last[0] = newton_step(*args)
+        return last[0]
+
+    def rejecting(evaluate, x, dx, *rest):
+        out = trial(evaluate, x, dx, *rest)
+        dx_last, _, lam, mu = last[0]
+        return out if np.array_equal(dx, dx_last / (1.0 + max(lam, mu))) else None
+
+    monkeypatch.setattr(linx, "_newton_step", recorded)
+    monkeypatch.setattr(linx, "_trial", rejecting)
 
 
 def is_feasible(x, s):

@@ -137,17 +137,25 @@ class TestBoundCommand:
         limit = json.loads(text)
         assert auto["regime"] == limit["regime"] == "LimitAtInfinity"
         assert auto["gamma"] == "inf"
-        for key in ("value", "x_hat", "duality_gap"):
+        for key in ("value", "x_hat", "duality_gap", "upper_bound"):
             assert auto[key] == limit[key]
         assert list(auto) == ["command", "n", "s", "gamma", "mask", "value", "regime",
-                              "x_hat", "duality_gap"]
+                              "x_hat", "duality_gap", "upper_bound"]
 
     def test_log_base_conversion(self, j2_file):
         _, nat = _run(["bound", "--input", j2_file, "--s", "1"])
         _, base2 = _run(["bound", "--input", j2_file, "--s", "1", "--log-base", "2"])
-        v_nat = json.loads(nat)["value"]
-        v_2 = json.loads(base2)["value"]
-        assert v_2 == pytest.approx(v_nat / math.log(2.0), rel=1e-12)
+        for key in ("value", "duality_gap", "upper_bound"):
+            assert json.loads(base2)[key] == json.loads(nat)[key] / math.log(2.0)
+
+    @pytest.mark.parametrize("gamma", ["1", "auto"])
+    def test_reports_the_certified_bound(self, gram8_file, gamma):
+        # value stays f(x_hat); upper_bound is the bound that the gap certifies
+        status, text = _run(["bound", "--input", gram8_file, "--s", "4", "--gamma", gamma])
+        assert status == 0
+        report = json.loads(text)
+        assert report["upper_bound"] == report["value"] + report["duality_gap"]
+        assert list(report)[-3:] == ["x_hat", "duality_gap", "upper_bound"]
 
     def test_deterministic_output(self, diag_file):
         args = ["bound", "--input", diag_file, "--s", "2", "--gamma", "0.7"]
@@ -163,6 +171,20 @@ class TestBoundCommand:
 
 
 class TestGammaCommand:
+    @pytest.mark.parametrize("fixture", ["gram8_file", "diag_file", "rank1_file"])
+    def test_prints_what_auto_bound_prints(self, request, fixture):
+        # the interior saddle solve, the closed form and the limit solve
+        path = request.getfixturevalue(fixture)
+        s = "1" if fixture == "rank1_file" else "2"
+        status, text = _run(["gamma", "--input", path, "--s", s])
+        assert status == 0
+        report = json.loads(text)
+        status, text = _run(["bound", "--input", path, "--s", s, "--gamma", "auto"])
+        assert status == 0
+        assert report == {**json.loads(text), "command": "gamma"}
+        assert list(report) == ["command", "n", "s", "gamma", "mask", "value", "regime",
+                                "x_hat", "duality_gap", "upper_bound"]
+
     def test_diagonal_instance(self, diag_file):
         status, text = _run(["gamma", "--input", diag_file, "--s", "1"])
         assert status == 0

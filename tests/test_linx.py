@@ -20,7 +20,7 @@ from linxbound import (
 )
 
 from linxbound import linx
-from linxbound.linx import _kkt_step, _LinxProblem
+from linxbound.linx import _kkt_step
 
 from helpers import (
     correlation_matrix,
@@ -31,6 +31,8 @@ from helpers import (
     hessian_error,
     interior_point,
     is_feasible,
+    linx_problem,
+    reject_long_steps,
 )
 
 HALF = math.sqrt(2.0) / 2.0
@@ -178,7 +180,7 @@ class TestHessian:
                 mask = Mask.identity(n)
             else:
                 mask = Mask.from_matrix(SymMatrix.from_array(correlation_matrix(rng, n)))
-            problem = _LinxProblem(inst, mask, math.exp(rng.uniform(-1.5, 1.5)), s)
+            problem = linx_problem(inst, mask, math.exp(rng.uniform(-1.5, 1.5)), s)
             worst = max(worst, hessian_error(problem, interior_point(rng, n, s)))
         assert worst <= 1e-5
 
@@ -188,7 +190,7 @@ class TestHessian:
             n = int(rng.integers(2, 9))
             s = int(rng.integers(1, n))
             inst = _instance(np.diag(diagonal_entries(rng, n)), s)
-            problem = _LinxProblem(inst, Mask.ones(n), math.exp(rng.uniform(-1.5, 1.5)), s)
+            problem = linx_problem(inst, Mask.ones(n), math.exp(rng.uniform(-1.5, 1.5)), s)
             assert hessian_error(problem, interior_point(rng, n, s)) <= 1e-5
 
 
@@ -388,7 +390,7 @@ class TestLineSearch:
             inst = _instance(gram_matrix(np.random.default_rng(0), n), n // 2)
             kept = solve_linx(inst, n // 2).iterations
             with monkeypatch.context() as patch:
-                patch.setattr(linx, "_KEEP", -1.0)
+                reject_long_steps(patch)
                 calls[0] = 0
                 res = solve_linx(inst, n // 2)
                 assert res.converged
@@ -575,18 +577,32 @@ class TestEigenbasisCertificate:
             gamma = float(np.exp(rng.uniform(-1.5, 1.5)))
             x = interior_point(rng, n, s)
             x += (s - x.sum()) / n
-            lam, q = np.linalg.eigh(inst.C.entries * mask.matrix.entries)
-            _, f, gap, *_ = linx._certify((x, None, None, 0, False, None), gamma, s, lam, q)
-            grad = linx_gradient(inst, mask, gamma, x)
-            assert f == pytest.approx(linx_objective(inst, mask, gamma, x), rel=1e-12, abs=1e-12)
-            assert gap == pytest.approx(max(linx._fw_gap(grad, x, s), 0.0), abs=1e-11)
+            f, grad, _ = linx_problem(inst, mask, gamma, s).derivatives(x)
+            assert linx_objective(inst, mask, gamma, x) == pytest.approx(f, rel=1e-12, abs=1e-12)
+            grad_eig = linx_gradient(inst, mask, gamma, x)
+            np.testing.assert_allclose(grad_eig, grad, rtol=0, atol=1e-11)
 
     def test_keeps_the_engine_numbers_where_g_does_not_factor(self, monkeypatch):
         inst = _instance(gram_matrix(np.random.default_rng(49), 5), 2)
-        problem = _LinxProblem(inst, Mask.ones(5), 1.0, 2)
-        out = linx._maximize_capped_simplex(problem, linx.DEFAULT_OPTIONS)
+        engine = engine_solve(inst, 2)
+        eigen_point = linx._eigen_point
+        monkeypatch.setattr(linx, "_eigen_point", lambda *args: None)
+        res = solve_linx(inst, 2)
+        assert (res.value, res.duality_gap) == (engine.value, engine.duality_gap)
+        assert np.array_equal(res.x_hat, engine.x_hat)
         monkeypatch.setattr(linx, "_cholesky", lambda mat: None)
-        assert linx._certify(out, 1.0, 2, inst.eigvals, inst.eigvecs) is out
+        assert eigen_point(inst, 1.0, 2, engine.x_hat) is None
+
+    def test_public_evaluators_read_the_certified_value(self):
+        # 1e6-scaled Gram inputs at gamma = 5, where gamma lam_1^2 is about
+        # 1e13: the dense F rounds f by up to 2e-3 there, the eigenbasis
+        # evaluation that certifies value does not
+        for seed in range(901, 913):
+            inst = _instance(1e6 * gram_matrix(np.random.default_rng(seed), 19), 18)
+            res = solve_linx(inst, 18, gamma=5.0)
+            assert linx_objective(inst, Mask.ones(19), res.gamma, res.x_hat) == res.value
+            grad = linx_gradient(inst, Mask.ones(19), res.gamma, res.x_hat)
+            assert max(linx._fw_gap(grad, res.x_hat, 18), 0.0) == res.duality_gap
 
 
 def test_is_feasible():

@@ -23,7 +23,6 @@ from linxbound import (
 )
 
 from linxbound import linx, scaling
-from linxbound.linx import _LinxProblem
 from linxbound.scaling import _limit_problem
 
 from helpers import (
@@ -33,7 +32,9 @@ from helpers import (
     gram_matrix,
     hessian_error,
     interior_point,
+    linx_problem,
     random_pd_2x2,
+    reject_long_steps,
 )
 
 
@@ -94,7 +95,7 @@ class TestOptimizeGamma:
     )
     def test_mask_order_must_match(self, entries, s):
         # the s = rank, s > rank and interior regimes: a 1 x 1 mask broadcasts
-        # against C, and the first two build no _LinxProblem to reject it
+        # against C, so its order is checked before any regime is decided
         inst = validate(SymMatrix.from_array(entries), s)
         for order in (1, inst.n + 1):
             with pytest.raises(ValueError, match="mask order"):
@@ -148,8 +149,11 @@ class TestOptimizeGamma:
     def test_unbounded_regime_runs_no_solve(self, monkeypatch):
         # rank alone decides the s > rank regime, so no solve is spent on it
         calls = []
-        real = scaling.solve_linx
-        monkeypatch.setattr(scaling, "solve_linx", lambda *a, **k: calls.append(a) or real(*a, **k))
+        for name in ("_solve", "_maximize_capped_simplex"):
+            real = getattr(scaling, name)
+            monkeypatch.setattr(
+                scaling, name, lambda *a, real=real, **k: calls.append(a) or real(*a, **k)
+            )
         inst = validate(SymMatrix.from_array(gram_matrix(np.random.default_rng(3), 12, 5)), 7)
         search = optimize_gamma(inst, 7)
         assert search.regime.tag is RegimeTag.UNBOUNDED_BELOW
@@ -184,13 +188,18 @@ class TestOptimizeGamma:
     def test_dense_search_runs_no_solve(self, monkeypatch):
         # the saddle point is the reported bound; nothing is solved after it
         calls = []
-        real = scaling.solve_linx
-        monkeypatch.setattr(scaling, "solve_linx", lambda *a, **k: calls.append(a) or real(*a, **k))
+        real = linx._maximize_capped_simplex
+        monkeypatch.setattr(
+            linx, "_maximize_capped_simplex", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
         inst = validate(SymMatrix.from_array(gram_matrix(np.random.default_rng(48), 10)), 5)
-        search = optimize_gamma(inst, 5)
-        assert search.converged
-        assert len(calls) == 0
-        assert search.best.iterations > 0
+        for mask in (Mask.ones(10), Mask.from_matrix(SymMatrix.from_array(
+                correlation_matrix(np.random.default_rng(49), 10)))):
+            calls.clear()
+            search = optimize_gamma(inst, 5, mask)
+            assert search.converged
+            assert len(calls) == 1
+            assert search.best.iterations > 0
 
     def test_tied_diagonal_takes_the_closed_form_alone(self):
         # d_s = d_{s+1}: the closed form's x_hat splits the tied block, so
@@ -207,9 +216,9 @@ class TestOptimizeGamma:
         # convexity in psi puts the neighbours of gamma-hat no lower than
         # the reported bound
         calls = []
-        real = scaling._maximize_capped_simplex
+        real = linx._maximize_capped_simplex
         monkeypatch.setattr(
-            scaling, "_maximize_capped_simplex", lambda *a, **k: calls.append(a) or real(*a, **k)
+            linx, "_maximize_capped_simplex", lambda *a, **k: calls.append(a) or real(*a, **k)
         )
         rng = np.random.default_rng(41)
         for n in (8, 12, 16, 32):
@@ -237,10 +246,11 @@ class TestOptimizeGamma:
         # the tied block, and the 2x2 one the saddle solve; either way the
         # search builds one result, and best is it
         results = []
-        for name in ("solve_linx", "_result"):
-            real = getattr(scaling, name)
+        for owner in (linx, scaling):
+            real = owner._result
             monkeypatch.setattr(
-                scaling, name, lambda *a, real=real, **k: results.append(real(*a, **k)) or results[-1]
+                owner, "_result",
+                lambda *a, real=real, **k: results.append(real(*a, **k)) or results[-1],
             )
         inst = validate(SymMatrix.from_array(entries), s)
         search = optimize_gamma(inst, s)
@@ -325,7 +335,7 @@ class TestSaddleSteps:
             inst = validate(SymMatrix.from_array(gram_matrix(np.random.default_rng(0), n)), n // 2)
             kept = optimize_gamma(inst, n // 2).best.iterations
             with monkeypatch.context() as patch:
-                patch.setattr(linx, "_KEEP", -1.0)
+                reject_long_steps(patch)
                 calls[0] = 0
                 search = optimize_gamma(inst, n // 2)
                 assert search.converged
@@ -360,7 +370,7 @@ class TestPsiSlope:
                 mask = Mask.ones(n)
             for psi in (-1.0, 0.0, 1.5):
                 res = solve_linx(inst, s, mask, math.exp(psi), tight)
-                problem = _LinxProblem(inst, mask, res.gamma, s)
+                problem = linx_problem(inst, mask, res.gamma, s)
                 slope = problem.derivatives(res.x_hat, math.log(res.gamma))[3][0]
                 up = solve_linx(inst, s, mask, math.exp(psi + h), tight).value
                 down = solve_linx(inst, s, mask, math.exp(psi - h), tight).value
@@ -371,7 +381,7 @@ class TestPsiSlope:
         inst = validate(SymMatrix.from_array([[2.0, 1.0], [1.0, 1.0]]), 1)
         res = solve_linx(inst, 1, gamma=3.0)
         assert np.array_equal(res.x_hat, [1.0, 0.0])
-        problem = _LinxProblem(inst, Mask.ones(2), 3.0, 1)
+        problem = linx_problem(inst, Mask.ones(2), 3.0, 1)
         slope = problem.derivatives(res.x_hat, math.log(3.0))[3][0]
         assert abs(slope) <= 1e-12
 
@@ -409,7 +419,7 @@ class TestPsiDerivatives:
                 mask = Mask.from_matrix(SymMatrix.from_array(correlation_matrix(rng, n)))
             else:
                 mask = Mask.ones(n)
-            problem = _LinxProblem(inst, mask, 1.0, s)
+            problem = linx_problem(inst, mask, 1.0, s)
             psi = rng.uniform(-1.5, 1.5)
             worst = max(worst, _psi_derivative_error(problem, interior_point(rng, n, s), psi))
         assert worst <= 1e-5
@@ -420,7 +430,7 @@ class TestPsiDerivatives:
             n = int(rng.integers(2, 9))
             s = int(rng.integers(1, n))
             inst = validate(SymMatrix.from_diagonal(diagonal_entries(rng, n)), s)
-            problem = _LinxProblem(inst, Mask.ones(n), 1.0, s)
+            problem = linx_problem(inst, Mask.ones(n), 1.0, s)
             psi = rng.uniform(-1.5, 1.5)
             assert _psi_derivative_error(problem, interior_point(rng, n, s), psi) <= 1e-5
 
