@@ -34,7 +34,8 @@ from .instance import Mask, SymMatrix, validate
 from .linx import DEFAULT_OPTIONS, NEG_INF, SolverOptions, solve_linx
 from .scaling import optimize_gamma
 
-DEFAULT_N_CAP = 1024  # largest order per row, a guard: a scaled row takes about 3.5 s there
+DEFAULT_N_CAP = 1024  # largest order per row, a guard: a scaled row takes
+                      # about 3.3 s there at one BLAS thread on 2 vCPUs
 
 UNSCALED_FLOOR_PER_N = 0.25 * math.log(4.0 / 3.0)
 

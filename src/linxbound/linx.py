@@ -34,10 +34,13 @@ belong at 0 or 1 come out exactly there, and an interior optimum is
 reached without driving t to 1/tol.  Convergence is certified
 independently of the method by the standard linearization gap max_v
 grad(x) . (v - x) over the vertices v of P(n, s), which upper-bounds the
-suboptimality of x.  The value and gap that a result reports are
-evaluated once more at its x, in the eigenbasis of C o M (see
-_eigen_point), where large gamma does not round them away; the public
-evaluators linx_objective and linx_gradient are that same evaluation.
+suboptimality of x.
+
+Every evaluation, the engine's and that of the public evaluators
+linx_objective and linx_gradient, is one _LinxProblem: it works in the
+eigenbasis of C o M, where a large gamma does not round away the small
+eigenvalues, and gamma = inf in it is the limit program of scaling.py.
+A result's value, gap and x_hat are the engine's last evaluation.
 
 C o M and its spectrum come from one place, instance._masked, and every
 bound at a finite gamma from one solve, _solve: solve_linx calls it at the
@@ -78,6 +81,7 @@ _RATIO = 0.4         # drop in distance to a bound between centred iterates that
 _FACE_STEPS = 4      # Newton steps allowed on a predicted face
 _TIE = 1e-9          # relative slack within which coordinates meet a bound in one ratio test
 _PSI_RUNAWAY = 60.0  # distance from its start at which a carried psi has run away
+_SIGNS = np.array([1.0, -1.0])  # weights of the rows u, v in u u^T - v v^T
 
 SLOPE_TOL = 1e-7     # target for |f_psi| when psi is carried
 TOL_FEAS = 1e-10     # largest rounding drift of e.x away from s that is accepted
@@ -183,147 +187,119 @@ def _logdet(chol) -> float:
     return 2.0 * float(np.log(chol.diagonal()).sum())
 
 
-def _cho_inverse(chol):
-    """Inverse of L L^T from its lower Cholesky factor L (upper part zero)."""
-    linv, _ = sla.lapack.dtrtri(chol, lower=1)
-    return linv.T @ linv
-
-
 class _LinxProblem:
-    """Evaluation machinery for the linx program of one masked matrix
-    A = C o M at one gamma, or for another program of the same split form.
+    """Evaluation machinery for the linx program of one masked instance,
+    A = C o M = eff.C = Q Diag(lam) Q^T, at one gamma in (0, inf].
 
-    It evaluates f(x) = 0.5 * (logdet F(x) - shift) for
+    With d = sqrt(gamma lam^2 + 1), u = sqrt(gamma) lam / d and v = 1 / d,
+    F(x) = gamma A X A + I - X = Q Diag(d) G(x) Diag(d) Q^T for
 
-        F(x) = gamma U^T X U + V^T (I - X) V,    X = Diag(x),
+        G(x) = (u u^T - v v^T) o (Q^T X Q) + Diag(v^2),    X = Diag(x),
 
-    where V absent means V = I.  One factorization per iterate serves the
-    objective, the gradient and the Hessian.  With W = F^-1, K = U W U^T,
-    P = U W V^T and N = V W V^T,
+    none of whose entries exceeds 1 in magnitude.  So f(x) = 0.5 * (logdet
+    G(x) - shift), shift = s log(gamma) - sum log d^2, and G keeps the small
+    eigenvalues that a dense F rounds away once gamma lam_1^2 dwarfs 1.  One
+    Cholesky factor G = L L^T per iterate serves the objective, the gradient
+    and the Hessian: with [Z_u | Z_v] = L^-1 [Diag(u) Q^T | Diag(v) Q^T],
+    K = Z_u^T Z_u, P = Z_u^T Z_v and N = Z_v^T Z_v,
 
-        grad = 0.5 * (gamma diag(K) - diag(N)),
-        hess = -0.5 * (gamma^2 K o K - gamma (P o P + P^T o P^T) + N o N).
+        grad = 0.5 * (diag(K) - diag(N)),
+        hess = -0.5 * (K o K - (P o P + P^T o P^T) + N o N).
 
-    The linx program is U = A = C o M, V = I (so P = A W and N = W) and
-    shift = s log(gamma).  split builds the other forms: the gamma -> inf
-    limit program of scaling.py is one of them.
+    In terms of W = F^-1 these are K = gamma A W A, P = sqrt(gamma) A W and
+    N = W, so they are the derivatives of the dense logdet F.
 
-    With V = I the same W and P give the derivatives in psi = log(gamma):
-    with d = e - x, dF/dpsi = F - Diag(d), so
+    gamma = inf is the limit program of s = rank(A): u = 1_s on the s
+    nonzero eigenvalues, v = e - u and shift = -2 sum_{i <= s} log lam_i.
+    Then G(x) is block-diag(P_s(x), I - P_rest(x)) for P(x) = Q^T X Q, and
+    f(x) = 0.5 * (logdet(Lam_s P_s(x) Lam_s) + logdet(I - P_rest(x))).
 
-        f_psi    = 0.5 * (n - s - d . diag(W)),
-        f_psipsi = 0.5 * (d . diag(W) - d . (W o W) d),
-        f_xpsi   = 0.5 * (diag(W) + gamma (P o P) d - (W o W) d).
+    The derivatives in psi = log(gamma) keep the form they take in F,
+    because N = W and P o P = gamma (A W) o (A W): with dF/dpsi =
+    F - Diag(e - x),
 
-    They hold for V = I only; no split problem is given a psi.
+        f_psi    = 0.5 * (n - s - (e - x) . diag(N)),
+        f_psipsi = 0.5 * ((e - x) . diag(N) - (e - x) . (N o N) (e - x)),
+        f_xpsi   = 0.5 * (diag(N) + (P o P) (e - x) - (N o N) (e - x)).
 
-    A diagonal A takes the same formulas; _solve sends it to the closed
-    form instead.  It knows nothing of masks or instances: A comes formed,
-    and gamma checked, from its caller.
+    The gamma-dependent arrays are kept for the last gamma evaluated, so a
+    problem belongs to one solve.  A diagonal A takes the same formulas;
+    _solve sends it to the closed form instead.  It knows nothing of masks:
+    eff comes masked, and gamma checked, from its caller.
     """
 
-    V = None
+    def __init__(self, eff: Instance, gamma: float, s: int):
+        self.n, self.gamma, self.s = eff.n, gamma, s
+        self.Q, self.lam, self.lam2 = eff.eigvecs, eff.eigvals, eff.eigvals * eff.eigvals
+        self._at = None
 
-    def __init__(self, A, gamma: float, s: int):
-        self.U = self.Ut = A  # A^T = A
-        self.n = A.shape[0]
-        self.gamma = gamma
-        self.s = s
-        self.shift = s * math.log(gamma)
-
-    @classmethod
-    def split(cls, U, V, s: int, shift: float):
-        """The problem f(x) = 0.5 * (logdet F(x) - shift) of
-        F(x) = U^T X U + V^T (I - X) V, at gamma = 1."""
-        problem = cls.__new__(cls)
-        problem.U, problem.Ut, problem.V = U, U.T, V
-        problem.n, problem.gamma, problem.s, problem.shift = U.shape[0], 1.0, s, shift
-        return problem
+    def _scaled(self, gamma):
+        """(u u^T - v v^T, v^2, [Diag(u) Q^T | Diag(v) Q^T], shift) at gamma."""
+        if self._at is None or self._at[0] != gamma:
+            n, s = self.n, self.s
+            if gamma == math.inf:
+                v = (np.arange(n) >= s) * 1.0
+                rows = np.array((1.0 - v, v))
+                shift = -2.0 * float(np.log(self.lam[:s]).sum())
+            else:
+                glam2 = gamma * self.lam2
+                v = 1.0 / np.sqrt(glam2 + 1.0)
+                rows = np.array((np.sqrt(glam2) * v, v))  # lam >= 0
+                shift = s * math.log(gamma) - float(np.log1p(glam2).sum())
+            # [Q Diag(u); Q Diag(v)] transposed, in the Fortran order LAPACK takes
+            rhs = (self.Q * rows[:, None, :]).reshape(2 * n, n).T
+            self._at = (gamma, (rows.T * _SIGNS) @ rows, v * v, rhs, shift)
+        return self._at[1:]
 
     def derivatives(self, x, psi=None):
         """(value, gradient, Hessian) of f at x; (-inf, None, None) where
-        F(x) is not positive definite.
+        G(x) is not positive definite.
 
         Given psi, f is taken at gamma = e^psi instead of the problem's
         own gamma, and a fourth entry (f_psi, f_psipsi, f_xpsi) follows.
         """
-        if psi is None:
-            gam, shift = self.gamma, self.shift
-        else:
-            gam, shift = math.exp(psi), self.s * psi
-        V = self.V
-        F = gam * ((self.Ut * x) @ self.U)
-        if V is None:
-            F.flat[:: self.n + 1] += 1.0 - x
-        else:
-            F += (V.T * (1.0 - x)) @ V
-        chol = _cholesky(F)
+        n = self.n
+        uv, v2, rhs, shift = self._scaled(self.gamma if psi is None else math.exp(psi))
+        G = uv * ((self.Q.T * x) @ self.Q)
+        G.flat[:: n + 1] += v2
+        chol = _cholesky(G)
         if chol is None:
             return NEG_INF, None, None
-        W = _cho_inverse(chol)
-        UW = self.U @ W
-        K = UW @ self.Ut
-        P, N = (UW, W) if V is None else (UW @ V.T, V @ W @ V.T)
+        linv, _ = sla.lapack.dtrtri(chol, lower=1)
+        z = sla.blas.dtrmm(1.0, linv, rhs, lower=1)
+        zu, zv = z[:, :n], z[:, n:]
+        K, P, N = zu.T @ zu, zu.T @ zv, zv.T @ zv
         NN, PP, ndiag = N * N, P * P, N.diagonal()
-        grad = 0.5 * (gam * K.diagonal() - ndiag)
-        hess = -0.5 * (gam * gam * (K * K) - gam * (PP + PP.T) + NN)
+        grad = 0.5 * (K.diagonal() - ndiag)
+        hess = -0.5 * (K * K - (PP + PP.T) + NN)
         out = (0.5 * (_logdet(chol) - shift), grad, hess)
         if psi is None:
             return out
-        d = 1.0 - x
-        dw, wwd = float(d @ ndiag), NN @ d
-        f_psi = 0.5 * (self.n - self.s - dw)
-        f_pp = 0.5 * (dw - float(d @ wwd))
-        f_xp = 0.5 * (ndiag + gam * (PP @ d) - wwd)
+        y = 1.0 - x
+        dw, wwd = float(y @ ndiag), NN @ y
+        f_psi = 0.5 * (n - self.s - dw)
+        f_pp = 0.5 * (dw - float(y @ wwd))
+        f_xp = 0.5 * (ndiag + PP @ y - wwd)
         return out + ((f_psi, f_pp, f_xp),)
 
 
-def _eigen_point(eff: Instance, gamma: float, s: int, x):
-    """(f, grad) at (x, gamma), evaluated in the eigenbasis of
-    A = C o M = eff.C = Q Diag(lam) Q^T; None where G below is not
-    positive definite in floating point.
-
-    With d = sqrt(gamma lam^2 + 1), U = Q Diag(sqrt(gamma) lam / d) and
-    V = Q Diag(1 / d), F(x) = Q Diag(d) G Diag(d) Q^T for the split form
-    G = U^T X U + V^T (I - X) V = L L^T, none of whose entries exceeds 1
-    in magnitude.  So f = 0.5 * (logdet G + sum log d^2 - s log gamma) and
-
-        grad = 0.5 * (colsum((L^-1 U^T)^2) - colsum((L^-1 V^T)^2)),
-
-    from one triangular solve.  The dense F of the engine rounds away its
-    small eigenvalues once gamma lam_1^2 dwarfs 1; G does not, so this f
-    and its gap certify the bound there too.
-    """
-    n = x.shape[0]
-    d = np.sqrt(gamma * eff.eigvals * eff.eigvals + 1.0)
-    V = eff.eigvecs / d
-    U = V * (math.sqrt(gamma) * eff.eigvals)
-    chol = _cholesky((U.T * x) @ U + (V.T * (1.0 - x)) @ V)
-    if chol is None:
-        return None
-    z, _ = sla.lapack.dtrtrs(chol, np.concatenate((U.T, V.T), axis=1), lower=1)
-    cols = (z * z).sum(axis=0)
-    f = 0.5 * (_logdet(chol) + 2.0 * float(np.log(d).sum()) - s * math.log(gamma))
-    return f, 0.5 * (cols[:n] - cols[n:])
-
-
 def _public_point(inst: Instance, mask: Mask, gamma: float, x):
-    """_eigen_point for the public evaluators, with s = sum(x) rounded to
-    the nearest integer: s is a fixed property of the feasible set, so it
-    must not drift when x is perturbed off the simplex (finite-difference
-    probes rely on this)."""
+    """_LinxProblem.derivatives for the public evaluators, with s = sum(x)
+    rounded to the nearest integer: s is a fixed property of the feasible
+    set, so it must not drift when x is perturbed off the simplex
+    (finite-difference probes rely on this)."""
     x = np.asarray(x, dtype=float)
-    return _eigen_point(_masked(inst, mask), _check_gamma(gamma), round(float(x.sum())), x)
+    problem = _LinxProblem(_masked(inst, mask), _check_gamma(gamma), round(float(x.sum())))
+    return problem.derivatives(x)
 
 
 def linx_objective(inst: Instance, mask: Mask, gamma: float, x) -> float:
     """Objective value at x; -inf when F(x) is not positive definite.
 
-    It is the evaluation that certifies a solve's value, so at a result's
-    x_hat and gamma it returns that result's value.
+    It is the solver's own evaluation, so at a result's x_hat and gamma it
+    returns that result's value.
     """
-    point = _public_point(inst, mask, gamma, x)
-    return NEG_INF if point is None else point[0]
+    return _public_point(inst, mask, gamma, x)[0]
 
 
 def linx_gradient(inst: Instance, mask: Mask, gamma: float, x) -> np.ndarray:
@@ -332,10 +308,10 @@ def linx_gradient(inst: Instance, mask: Mask, gamma: float, x) -> np.ndarray:
 
     Raises when F(x) is not positive definite.
     """
-    point = _public_point(inst, mask, gamma, x)
-    if point is None:
+    grad = _public_point(inst, mask, gamma, x)[1]
+    if grad is None:
         raise np.linalg.LinAlgError("F(x) is not positive definite")
-    return point[1]
+    return grad
 
 
 def _kkt_step(grad, H, border=None):
@@ -511,7 +487,7 @@ def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
 
     problem.derivatives(x) returns the value, gradient and Hessian of the
     concave objective over P(problem.n, problem.s): a _LinxProblem, of the
-    linx program or of another split form F(x) = U^T X U + V^T (I - X) V.
+    linx program at a finite gamma or of the limit program at gamma = inf.
     Every call goes through one counting closure, evaluate: its count is
     the result's iterations, and once opts.max_iter calls are spent it
     makes no more and returns the undefined point (-inf, None, None),
@@ -537,11 +513,10 @@ def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
     there is below n / (2 t) up to rounding, so a larger t cannot help).
 
     Given a starting psi, problem.derivatives(x, psi) must also return
-    the psi-derivatives (as _LinxProblem's does for V = I, the linx
-    program; a split-form problem such as the limit program is never
-    given a psi), and the engine finds the saddle point, max over x and
-    min over psi, of f(x, psi), which is convex in psi.  Each step, the
-    face finish's too, is then the joint Newton step (dx, dpsi), and
+    the psi-derivatives (the limit program is never given a psi), and the
+    engine finds the saddle point, max over x and min over psi, of
+    f(x, psi), which is convex in psi.  Each step, the face finish's too,
+    is then the joint Newton step (dx, dpsi), and
     max(lam, mu), with mu the decrement of the psi block, takes lam's
     place above: in the damping, in the long step's rule (which moves psi
     by alpha dpsi and is rejected when that puts psi farther than
@@ -550,8 +525,9 @@ def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
     solve stops only when also |f_psi| <= SLOPE_TOL.  A damped step that
     puts psi farther than _PSI_RUNAWAY from its start raises RuntimeError.
 
-    Returns (x, f, gap, iterations, converged, psi), psi None when it is
-    not carried.
+    Returns (x, f, gap, iterations, converged, psi) of the last evaluated
+    point, psi None when it is not carried; an x whose sum has drifted
+    from s by more than TOL_FEAS raises ArithmeticError.
     """
     n, s = problem.n, problem.s
     calls = 0
@@ -602,15 +578,11 @@ def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
         if trial is None:
             break  # x is the last good iterate
         (x, psi, point), step = trial, None
+    drift = s - float(x.sum())
+    if abs(drift) > TOL_FEAS:
+        raise ArithmeticError(f"iterate left the simplex (drift {drift:.3g})")
     gap = _fw_gap(point[1], x, s)
     converged = gap <= tol and _slope(point) <= SLOPE_TOL
-    drift = s - float(x.sum())
-    if drift != 0.0:
-        if abs(drift) > TOL_FEAS:
-            raise ArithmeticError(f"iterate left the simplex (drift {drift:.3g})")
-        j = int(np.argmax(np.minimum(x, 1.0 - x)))
-        if 0.0 <= x[j] + drift <= 1.0:
-            x[j] += drift
     return x, point[0], max(gap, 0.0), calls, converged, psi
 
 
@@ -624,12 +596,11 @@ def _solve(eff: Instance, s: int, gamma: float, label: str, opts: SolverOptions,
     linearization gap at the closed-form maximizer.  Otherwise the barrier
     engine runs, with psi = log(gamma) carried next to x as its start when
     search is set, and the result is at gamma = e^psi of its last point.
-    Its x_hat, iterations and converged are the engine's; its value and
-    duality_gap are f and the linearization gap of _eigen_point at
-    (x_hat, gamma), or the engine's own where G does not factor.  On
-    hitting the iteration cap the last iterate is returned with
-    converged=False; its duality_gap still upper-bounds how far the value
-    can be below the true bound.
+    Its value, x_hat and duality_gap all come from the engine's last
+    evaluation, the one that linx_objective and linx_gradient repeat at
+    (x_hat, gamma).  On hitting the iteration cap the last iterate is
+    returned with converged=False; its duality_gap still upper-bounds how
+    far the value can be below the true bound.
     """
     gamma = _check_gamma(gamma)
     A = eff.C.entries
@@ -644,13 +615,8 @@ def _solve(eff: Instance, s: int, gamma: float, label: str, opts: SolverOptions,
         tol = _gap_tol(opts, value(np.full(eff.n, s / eff.n)))
         return _result((x, value(x), gap, 0, gap <= tol, None), gamma, label)
     psi = math.log(gamma) if search else None
-    x, f, gap, iters, converged, psi = _maximize_capped_simplex(_LinxProblem(A, gamma, s), opts, psi)
-    if search:
-        gamma = math.exp(psi)
-    point = _eigen_point(eff, gamma, s, x)
-    if point is not None:
-        f, gap = point[0], max(_fw_gap(point[1], x, s), 0.0)
-    return _result((x, f, gap, iters, converged, psi), gamma, label)
+    out = _maximize_capped_simplex(_LinxProblem(eff, gamma, s), opts, psi)
+    return _result(out, gamma if psi is None else math.exp(out[5]), label)
 
 
 def solve_linx(
@@ -663,9 +629,9 @@ def solve_linx(
     """Maximize the relaxation objective over P(n, s) at gamma.
 
     mask=None means the all-ones mask (no masking).  This is _solve of
-    instance._masked(inst, mask): the barrier engine's x_hat, iterations
-    and converged, with the value and duality_gap that linx_objective and
-    linx_gradient give at x_hat, or the closed form of a diagonal C o M.
+    instance._masked(inst, mask): the barrier engine's result, whose value
+    and duality_gap are those that linx_objective and linx_gradient give at
+    x_hat, or the closed form of a diagonal C o M.
     """
     s = _check_s(s, inst.n)
     mask = Mask.ones(inst.n) if mask is None else mask

@@ -23,16 +23,15 @@ and yields one result:
                       joint Newton steps on (x, psi) until the linearization
                       gap and |df/dpsi| both meet their targets; that saddle
                       point (x, psi) is the reported bound at gamma = e^psi,
-                      certified in the eigenbasis of C o M, and nothing is
-                      solved after it.
+                      and nothing is solved after it.
 
 Both paths are one call of linx._solve on the masked instance that
 instance._masked forms once per search, the same solve that solve_linx
 makes at a fixed gamma.
 
-The limit program is the linx evaluator's split form at gamma = 1 (see
-_limit_problem and linx._LinxProblem), so it needs no linear algebra of its
-own and is maximized by the same barrier engine as the linx bound.
+The limit program is the linx evaluator at gamma = inf (see
+linx._LinxProblem), so it needs no linear algebra of its own and is
+maximized by the same barrier engine as the linx bound.
 """
 
 from __future__ import annotations
@@ -112,32 +111,22 @@ def classify_regime(inst: Instance, s: int) -> GammaRegime:
     return GammaRegime(tag=tag, rank=inst.rank, s=s)
 
 
-def _limit_problem(inst: Instance, s: int) -> _LinxProblem:
-    """The infinite-scaling program for s = rank(C), as a split-form
-    _LinxProblem.
-
-    With C = Q Lam Q^T of rank s, U = Q Diag(1_s, 0), V = Q - U and
-    P(x) = Q^T X Q, F(x) = U^T X U + V^T (I - X) V is block-diag(P_s(x),
-    I - P_rest(x)), with P_s the leading s x s block of P and P_rest the
-    trailing one.  So the program maximizes
-
-        0.5 * ( logdet(Lam_s P_s(x) Lam_s) + logdet(I - P_rest(x)) )
-
-    over P(n, s), with shift = -2 sum_{i <= s} log lam_i.
-    """
-    U = inst.eigvecs * (np.arange(inst.n) < s)
-    shift = -2.0 * float(np.sum(np.log(inst.eigvals[:s])))
-    return _LinxProblem.split(U, inst.eigvecs - U, s, shift)
-
-
 def limit_linx_at_infinity(
     inst: Instance, s: int, opts: SolverOptions = DEFAULT_OPTIONS
 ) -> BoundResult:
-    """Value of the scaled bound in the gamma -> inf limit, for s = rank(C)."""
+    """Value of the scaled bound in the gamma -> inf limit, for s = rank(C).
+
+    With C = Q Lam Q^T of rank s and P(x) = Q^T X Q, the program maximizes
+
+        0.5 * ( logdet(Lam_s P_s(x) Lam_s) + logdet(I - P_rest(x)) )
+
+    over P(n, s), with P_s the leading s x s block of P and P_rest the
+    trailing one: the linx evaluator at gamma = inf.
+    """
     s = _check_s(s, inst.n)
     if s != inst.rank:
         raise ValueError(f"limit program requires s = rank, got s={s}, rank={inst.rank}")
-    return _result(_maximize_capped_simplex(_limit_problem(inst, s), opts), math.inf, "J")
+    return _result(_maximize_capped_simplex(_LinxProblem(inst, math.inf, s), opts), math.inf, "J")
 
 
 def optimize_gamma(
@@ -164,9 +153,8 @@ def optimize_gamma(
     the damped one otherwise, as in a fixed-gamma solve.  It stops when
     the linearization gap meets opts' target and |df/dpsi| <=
     linx.SLOPE_TOL.  That point is best, the result at gamma = e^psi: its
-    x, steps and convergence, and f and the gap evaluated there once more
-    in the eigenbasis of C o M; nothing is solved after it.  A mask whose
-    order is not inst's raises ValueError.
+    x, f, gap, steps and convergence; nothing is solved after it.  A mask
+    whose order is not inst's raises ValueError.
     """
     s = int(s)
     mask = Mask.ones(inst.n) if mask is None else mask

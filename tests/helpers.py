@@ -47,6 +47,19 @@ def diagonal_entries(rng, n, lo=0.2, hi=3.0, margin=0.05):
     return out
 
 
+def ill_conditioned(seed):
+    """(C, s) of the ill-conditioned family: n in [4, 32] and s in [1, n)
+    drawn from default_rng(seed), then C = Q Diag(logspace(0, -8, n)) Q^T
+    with Q orthogonal from the QR of a normal draw.  Its optimal scalings
+    reach 1e11 to 1e15, where a dense F = gamma A X A + I - X rounds away
+    the small eigenvalues."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 33))
+    s = int(rng.integers(1, n))
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    return (q * np.logspace(0.0, -8.0, n)) @ q.T, s
+
+
 def random_pd_2x2(rng):
     b = rng.normal(size=(2, 2))
     c = b @ b.T + 0.05 * np.eye(2)
@@ -88,14 +101,23 @@ def count_derivative_calls(monkeypatch):
 
 
 def linx_problem(inst, mask, gamma, s):
-    """The engine's dense evaluator of the linx program of C o M at gamma."""
-    return _LinxProblem(_masked(inst, mask).C.entries, gamma, s)
+    """The engine's evaluator of the linx program of C o M at gamma."""
+    return _LinxProblem(_masked(inst, mask), gamma, s)
+
+
+def dense_point(inst, mask, gamma, x):
+    """(f, grad) at x from the dense F = gamma A X A + I - X, A = C o M: a
+    reference that numpy computes without the eigenbasis, accurate where
+    gamma lam^2 is moderate."""
+    A = inst.C.entries * mask.matrix.entries
+    F = gamma * (A * x) @ A + np.diag(1.0 - x)
+    W = np.linalg.inv(F)
+    f = 0.5 * (np.linalg.slogdet(F)[1] - round(float(x.sum())) * math.log(gamma))
+    return f, 0.5 * (gamma * np.diagonal(A @ W @ A) - np.diagonal(W))
 
 
 def engine_solve(inst, s, mask=None, gamma=1.0, opts=DEFAULT_OPTIONS):
-    """solve_linx by the barrier engine alone, also where C o M is diagonal,
-    and with the engine's own value and gap, not those of the eigenbasis
-    evaluation that certifies a solve.
+    """solve_linx by the barrier engine alone, also where C o M is diagonal.
 
     solve_linx answers a diagonal C o M by its closed form; this keeps the
     engine's face finish and iteration cap tested on such separable inputs.

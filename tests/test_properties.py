@@ -167,8 +167,9 @@ def test_complementation(n, data, u):
     assert _within_gaps(res, shifted)
 
 
-# the two draws of the family below whose searches spend all 5,000
-# evaluations unconverged: (seed, n, r, s, eps, alpha)
+# two draws of the family below whose searches spent all 5,000 evaluations
+# unconverged at gamma-hat of 1e8 to 1e12 while the engine factored the
+# dense F: (seed, n, r, s, eps, alpha)
 UNCONVERGED = [(315444054, 4, 1, 3, 1e-6, 1.0), (1400476265, 6, 1, 2, 1e-6, 100.0)]
 
 
@@ -195,8 +196,8 @@ def near_rank_deficient_draws(draw, max_n=8):
 @example((2663796492, 3, 1, 2, 1e-6, 100.0))
 def test_near_rank_deficient_search_bounds_the_optimum(draw):
     # converged or not, the search certifies a bound; the last two examples
-    # converge at gamma-hat near 7e11 and 7e7, where a bound certified by the
-    # dense F sits 1.7e-4 and 1.4e-5 below the optimum
+    # converge at gamma-hat near 7e11 and 7e7, where a bound taken from the
+    # dense F sat 1.7e-4 and 1.4e-5 below the optimum
     s = draw[3]
     inst = _near_rank_deficient(*draw)
     search = optimize_gamma(inst, s)
@@ -205,7 +206,6 @@ def test_near_rank_deficient_search_bounds_the_optimum(draw):
     assert search.best.upper_bound >= opt - 1e-9 * max(1.0, abs(opt))
 
 
-@pytest.mark.xfail(strict=True, reason="the dense evaluator rounds at gamma-hat of 1e8 to 1e12")
 @pytest.mark.parametrize("draw", UNCONVERGED, ids=["n4", "n6"])
 def test_near_rank_deficient_search_converges(draw):
     assert optimize_gamma(_near_rank_deficient(*draw), draw[3]).converged

@@ -23,7 +23,7 @@ from linxbound import (
 )
 
 from linxbound import linx, scaling
-from linxbound.scaling import _limit_problem
+from linxbound.linx import _LinxProblem
 
 from helpers import (
     correlation_matrix,
@@ -31,6 +31,7 @@ from helpers import (
     diagonal_entries,
     gram_matrix,
     hessian_error,
+    ill_conditioned,
     interior_point,
     linx_problem,
     random_pd_2x2,
@@ -274,6 +275,22 @@ class TestOptimizeGamma:
         assert search.converged
         assert search.best.upper_bound >= exact - 1e-9 * max(1.0, abs(exact))
 
+    def test_ill_conditioned_searches_converge(self):
+        # C = Q Diag(logspace(0, -8, n)) Q^T puts gamma-hat at 1e11 to 1e15;
+        # while the engine factored the dense F, 14 of these 60 searches ran
+        # out their 5,000 evaluations (75,708 in all)
+        total = 0
+        for seed in range(3000, 3060):
+            C, s = ill_conditioned(seed)
+            inst = validate(SymMatrix.from_array(C), s)
+            search = optimize_gamma(inst, s)
+            assert search.converged, seed
+            total += search.best.iterations
+            if inst.n <= 16:
+                opt = exact_mesp(inst, s).value
+                assert search.best.upper_bound >= opt - 1e-9 * max(1.0, abs(opt)), seed
+        assert total <= 1500
+
     def test_best_is_the_probe_at_gamma_hat(self):
         rng = np.random.default_rng(38)
         inst = validate(SymMatrix.from_array(gram_matrix(rng, 8)), 4)
@@ -422,6 +439,14 @@ class TestPsiDerivatives:
             problem = linx_problem(inst, mask, 1.0, s)
             psi = rng.uniform(-1.5, 1.5)
             worst = max(worst, _psi_derivative_error(problem, interior_point(rng, n, s), psi))
+        # the ill-conditioned family at psi in [15, 30], where the dense F's
+        # psi-derivatives were off by up to 1.0
+        for seed in range(3000, 3012):
+            C, s = ill_conditioned(seed)
+            n = C.shape[0]
+            problem = linx_problem(validate(SymMatrix.from_array(C), s), Mask.ones(n), 1.0, s)
+            psi = rng.uniform(15.0, 30.0)
+            worst = max(worst, _psi_derivative_error(problem, interior_point(rng, n, s), psi))
         assert worst <= 1e-5
 
     def test_diagonal_path_matches_differences(self):
@@ -511,7 +536,7 @@ class TestLimitProgram:
             n = int(rng.integers(3, 9))
             r = int(rng.integers(1, n))
             inst = validate(SymMatrix.from_array(gram_matrix(rng, n, r)), r)
-            problem = _limit_problem(inst, r)
+            problem = _LinxProblem(inst, math.inf, r)
             assert hessian_error(problem, interior_point(rng, n, r)) <= 1e-5
 
     def test_exact_at_binary_points(self):
@@ -523,7 +548,7 @@ class TestLimitProgram:
             r = int(rng.integers(1, n))
             C = gram_matrix(rng, n, r)
             inst = validate(SymMatrix.from_array(C), r)
-            problem = _limit_problem(inst, r)
+            problem = _LinxProblem(inst, math.inf, r)
             for S in itertools.combinations(range(n), r):
                 block = C[np.ix_(S, S)]
                 if np.linalg.cond(block) >= 1e6:
