@@ -22,7 +22,8 @@ there is no larger than lam.  Otherwise, and for every step with a smaller
 lam, it takes the damped step x + dx / (1 + lam): self-concordance
 guarantees that it stays inside the box and decreases psi_t.  Once an
 iterate is centred (lam < 1/4) the weight t grows by a fixed factor, until
-t is so large that the gap there is below the tolerance up to rounding.
+t is so large that the gap there is below the tolerance, or that rounding
+swamps psi_t.
 Before t grows, every centred iterate after the first predicts the face of
 the optimum from its ratio to the previous one (a Tapia indicator: a
 coordinate headed for a bound shrinks its distance to it about as fast as
@@ -43,12 +44,14 @@ eigenvalues, and gamma = inf in it is the limit program of scaling.py.
 A result's value, gap and x_hat are the engine's last evaluation.
 
 C o M and its spectrum come from one place, instance._masked, and every
-bound at a finite gamma from one solve, _solve: solve_linx calls it at the
-given gamma, and optimize_gamma's interior regime with psi carried.  When
-C o M is diagonal the objective separates, and _solve returns the
-closed-form maximizer of diagonal.solve_diagonal_linx instead: with
-a = diag(C o M), gamma a_i^2 = (sqrt(gamma) a_i)^2, so the program is the
-unscaled one of Diag(sqrt(gamma) a), shifted by -s log(gamma) / 2.
+bound, at any gamma in (0, inf], from one solve, _solve, the only caller of
+the engine: solve_linx calls it at the given gamma, limit_linx_at_infinity
+at gamma = inf, and optimize_gamma at gamma = inf or, in its interior
+regime, with psi carried.  When C o M is diagonal and gamma finite the
+objective separates, and _solve returns the closed-form maximizer of
+diagonal.solve_diagonal_linx instead: with a = diag(C o M), gamma a_i^2 =
+(sqrt(gamma) a_i)^2, so the program is the unscaled one of
+Diag(sqrt(gamma) a), shifted by -s log(gamma) / 2.
 
 The scaling search runs the same engine with psi = log(gamma) as one more,
 free, variable: f is convex in psi, so it takes joint Newton steps to the
@@ -81,6 +84,7 @@ _RATIO = 0.4         # drop in distance to a bound between centred iterates that
 _FACE_STEPS = 4      # Newton steps allowed on a predicted face
 _TIE = 1e-9          # relative slack within which coordinates meet a bound in one ratio test
 _PSI_RUNAWAY = 60.0  # distance from its start at which a carried psi has run away
+_EPS = float(np.finfo(float).eps)  # the cap on t keeps t |f| _EPS below about 1
 _SIGNS = np.array([1.0, -1.0])  # weights of the rows u, v in u u^T - v v^T
 
 SLOPE_TOL = 1e-7     # target for |f_psi| when psi is carried
@@ -161,20 +165,6 @@ def _check_gamma(gamma) -> float:
     return float(gamma)
 
 
-def _result(out, gamma: float, mask_id: str) -> BoundResult:
-    """BoundResult from a solve's (x, f, gap, iterations, converged, psi)."""
-    x, f, gap, iters, converged, _ = out
-    return BoundResult(
-        value=f,
-        x_hat=_freeze(x),
-        duality_gap=gap,
-        gamma=float(gamma),
-        mask_id=mask_id,
-        iterations=iters,
-        converged=converged,
-    )
-
-
 def _cholesky(mat):
     """Lower Cholesky factor, or None when mat is not positive definite."""
     try:
@@ -224,8 +214,9 @@ class _LinxProblem:
 
     The gamma-dependent arrays are kept for the last gamma evaluated, so a
     problem belongs to one solve.  A diagonal A takes the same formulas;
-    _solve sends it to the closed form instead.  It knows nothing of masks:
-    eff comes masked, and gamma checked, from its caller.
+    at a finite gamma _solve sends it to the closed form instead.  It
+    knows nothing of masks: eff comes masked, and gamma checked, from its
+    caller.
     """
 
     def __init__(self, eff: Instance, gamma: float, s: int):
@@ -483,7 +474,7 @@ def _trial(evaluate, x, dx, psi, dpsi, psi0, s: int):
 
 
 def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
-    """Barrier-method core shared by the bound solvers.
+    """Barrier-method core behind _solve, its only caller.
 
     problem.derivatives(x) returns the value, gradient and Hessian of the
     concave objective over P(problem.n, problem.s): a _LinxProblem, of the
@@ -495,8 +486,9 @@ def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
 
     A Newton step dx whose decrement lam is at least _CENTRED first tries
     the long step alpha = min(1, _BOX_FRACTION * alpha_box), with
-    alpha_box the longest step along dx inside the open box, when alpha
-    exceeds 1/(1 + lam).  It evaluates the trial point and its Newton step
+    alpha_box the longest step along dx inside the open box (infinite, so
+    alpha = 1, when dx = 0 and only psi moves), when alpha exceeds
+    1/(1 + lam).  It evaluates the trial point and its Newton step
     at the same t, and keeps the trial when that step's decrement is at
     most lam, i.e. does not grow; the kept trial's evaluation and step are
     the next iteration's.  Every other step, and the one after a
@@ -509,8 +501,12 @@ def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
     x.  Stops when the linearization gap meets the tolerance, when the
     damped step has no point (max_iter derivatives calls are spent, f is
     undefined there, or rounding pushes it out of the open box), or when
-    a centred iterate misses the tolerance with t above 8 n / tol (the gap
-    there is below n / (2 t) up to rounding, so a larger t cannot help).
+    a centred iterate misses the tolerance with t above
+    min(8 n / tol, 1 / (eps max(1, |f0|))), f0 the value at the uniform
+    start: the gap there is below n / (2 t) up to rounding, and once
+    t |f| eps is about 1 the rounding of psi_t swamps the Newton
+    decrement, so no iterate would centre again and the solve would run
+    to max_iter.  The cap holds with psi carried too.
 
     Given a starting psi, problem.derivatives(x, psi) must also return
     the psi-derivatives (the limit program is never given a psi), and the
@@ -521,8 +517,8 @@ def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
     place above: in the damping, in the long step's rule (which moves psi
     by alpha dpsi and is rejected when that puts psi farther than
     _PSI_RUNAWAY from its start) and in the centring test, so t grows when
-    both decrements are below _CENTRED.  There is no cap on t, and the
-    solve stops only when also |f_psi| <= SLOPE_TOL.  A damped step that
+    both decrements are below _CENTRED.  The solve converges only when
+    also |f_psi| <= SLOPE_TOL.  A damped step that
     puts psi farther than _PSI_RUNAWAY from its start raises RuntimeError.
 
     Returns (x, f, gap, iterations, converged, psi) of the last evaluated
@@ -544,7 +540,7 @@ def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
     if not np.isfinite(point[0]):
         raise ArithmeticError("objective is undefined at the uniform start point")
     tol = _gap_tol(opts, point[0])
-    t_cap = 8.0 * n / tol
+    t_cap = min(8.0 * n / tol, 1.0 / (_EPS * max(1.0, abs(point[0]))))
     t = 1.0
     step = None  # a kept long step's Newton step, computed at the same t
     while not _met(point, x, s, tol):
@@ -555,15 +551,17 @@ def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
                 if face is not None:
                     x, psi, point = face
                     break
-            if psi is None and t > t_cap:
-                break  # the gap is below n / (2 t) < tol here up to rounding
+            if t > t_cap:
+                break  # the gap is below n / (2 t) < tol, or rounding swamps psi_t
             prev = x
             t *= _T_GROWTH
             dx, dpsi, lam, mu = _newton_step(x, point, t)
         dec = max(lam, mu)
         damp = 1.0 + dec
         if dec >= _CENTRED:
-            alpha = min(1.0, _BOX_FRACTION / float(np.maximum(-dx / x, dx / (1.0 - x)).max()))
+            # reach is 0 when only psi moves, and then the whole step is tried
+            reach = float(np.maximum(-dx / x, dx / (1.0 - x)).max())
+            alpha = _BOX_FRACTION / max(_BOX_FRACTION, reach)
             # a long step that would run psi away is rejected; only a damped one raises
             held = psi is None or abs(psi + alpha * dpsi - psi0) <= _PSI_RUNAWAY
             if alpha > 1.0 / damp and held:
@@ -588,35 +586,40 @@ def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
 
 def _solve(eff: Instance, s: int, gamma: float, label: str, opts: SolverOptions,
            search: bool = False) -> BoundResult:
-    """The bound of A = C o M = eff.C, labelled label: the one solve behind
-    solve_linx and optimize_gamma's interior regime.
+    """The bound of A = C o M = eff.C at gamma in (0, inf], labelled label:
+    the one solve behind solve_linx, limit_linx_at_infinity and
+    optimize_gamma, and the one place a BoundResult is built.
 
-    A diagonal A takes the closed form at gamma (see the module docstring):
-    iterations is 0, max_iter does not apply, and duality_gap is the
-    linearization gap at the closed-form maximizer.  Otherwise the barrier
-    engine runs, with psi = log(gamma) carried next to x as its start when
-    search is set, and the result is at gamma = e^psi of its last point.
-    Its value, x_hat and duality_gap all come from the engine's last
-    evaluation, the one that linx_objective and linx_gradient repeat at
-    (x_hat, gamma).  On hitting the iteration cap the last iterate is
-    returned with converged=False; its duality_gap still upper-bounds how
-    far the value can be below the true bound.
+    gamma comes checked from the caller.  A diagonal A at a finite gamma
+    takes the closed form (see the module docstring): iterations is 0,
+    max_iter does not apply, and duality_gap is the linearization gap at
+    the closed-form maximizer.  Otherwise the barrier engine runs, gamma =
+    inf being the limit program of s = rank(A), with psi = log(gamma)
+    carried next to x as its start when search is set, and the result is at
+    gamma = e^psi of its last point.  Its value, x_hat and duality_gap all
+    come from the engine's last evaluation, the one that linx_objective and
+    linx_gradient repeat at (x_hat, gamma).  On hitting the iteration cap,
+    or the cap on t, the last iterate is returned with converged=False; its
+    duality_gap still upper-bounds how far the value can be below the true
+    bound.
     """
-    gamma = _check_gamma(gamma)
-    A = eff.C.entries
-    if not np.any(A - np.diag(eff.d)):
+    if gamma < math.inf and not np.any(eff.C.entries - np.diag(eff.d)):
         x = solve_diagonal_linx(math.sqrt(gamma) * eff.d, s).x_hat
         coef = gamma * eff.d * eff.d - 1.0
 
         def value(y):
             return 0.5 * (float(np.log(coef * y + 1.0).sum()) - s * math.log(gamma))
 
+        f, iters = value(x), 0
         gap = max(_fw_gap(0.5 * coef / (coef * x + 1.0), x, s), 0.0)
-        tol = _gap_tol(opts, value(np.full(eff.n, s / eff.n)))
-        return _result((x, value(x), gap, 0, gap <= tol, None), gamma, label)
-    psi = math.log(gamma) if search else None
-    out = _maximize_capped_simplex(_LinxProblem(eff, gamma, s), opts, psi)
-    return _result(out, gamma if psi is None else math.exp(out[5]), label)
+        converged = gap <= _gap_tol(opts, value(np.full(eff.n, s / eff.n)))
+    else:
+        psi = math.log(gamma) if search else None
+        x, f, gap, iters, converged, psi = _maximize_capped_simplex(
+            _LinxProblem(eff, gamma, s), opts, psi)
+        gamma = gamma if psi is None else math.exp(psi)
+    return BoundResult(value=f, x_hat=_freeze(x), duality_gap=gap, gamma=gamma,
+                       mask_id=label, iterations=iters, converged=converged)
 
 
 def solve_linx(
@@ -635,7 +638,7 @@ def solve_linx(
     """
     s = _check_s(s, inst.n)
     mask = Mask.ones(inst.n) if mask is None else mask
-    return _solve(_masked(inst, mask), s, gamma, mask.label, opts)
+    return _solve(_masked(inst, mask), s, _check_gamma(gamma), mask.label, opts)
 
 
 def certify_gamma_optimal(result: BoundResult) -> bool:

@@ -30,30 +30,23 @@ instance._masked forms once per search, the same solve that solve_linx
 makes at a fixed gamma.
 
 The limit program is the linx evaluator at gamma = inf (see
-linx._LinxProblem), so it needs no linear algebra of its own and is
-maximized by the same barrier engine as the linx bound.
+linx._LinxProblem), so it needs no linear algebra of its own:
+limit_linx_at_infinity is one linx._solve at gamma = inf, and so is a
+search in the s = rank regime.  This module builds no result and calls the
+barrier engine only through linx._solve.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .diagonal import optimal_gamma_diagonal
 from .instance import Instance, Mask, _check_s, _masked
-from .linx import (
-    DEFAULT_OPTIONS,
-    BoundResult,
-    NEG_INF,
-    SolverOptions,
-    _LinxProblem,
-    _maximize_capped_simplex,
-    _result,
-    _solve,
-)
+from .linx import DEFAULT_OPTIONS, NEG_INF, BoundResult, SolverOptions, _solve
 
 
 class RegimeTag(Enum):
@@ -121,12 +114,13 @@ def limit_linx_at_infinity(
         0.5 * ( logdet(Lam_s P_s(x) Lam_s) + logdet(I - P_rest(x)) )
 
     over P(n, s), with P_s the leading s x s block of P and P_rest the
-    trailing one: the linx evaluator at gamma = inf.
+    trailing one: the linx evaluator at gamma = inf, solved by one
+    linx._solve labelled "J".
     """
     s = _check_s(s, inst.n)
     if s != inst.rank:
         raise ValueError(f"limit program requires s = rank, got s={s}, rank={inst.rank}")
-    return _result(_maximize_capped_simplex(_LinxProblem(inst, math.inf, s), opts), math.inf, "J")
+    return _solve(inst, s, math.inf, "J", opts)
 
 
 def optimize_gamma(
@@ -139,22 +133,23 @@ def optimize_gamma(
 
     The regime (and the limit program, when it applies) is keyed to the
     rank of the masked matrix C o M, since that is the matrix the bound
-    actually sees; instance._masked forms it, with its spectrum, once.  In
-    the s = rank regime best is limit_linx_at_infinity of C o M, at
-    gamma = inf, labelled with mask; in the s > rank regime nothing is
-    solved and best is None.  In the interior regime best is one
-    linx._solve of C o M, started at the gamma that is optimal for the
-    diagonal of C o M, which makes it independent of the scale of C.  A
-    separable C o M takes the closed form there, gamma = 1/d_s^2, with
-    iterations 0.  Any other input, n = 2 included, runs the barrier
-    engine with psi = log(gamma) carried next to x, and finds the saddle
-    point (x, psi) of f, max over x and min over psi, by joint Newton
-    steps: a long one where the joint Newton decrement does not grow, and
-    the damped one otherwise, as in a fixed-gamma solve.  It stops when
-    the linearization gap meets opts' target and |df/dpsi| <=
-    linx.SLOPE_TOL.  That point is best, the result at gamma = e^psi: its
-    x, f, gap, steps and convergence; nothing is solved after it.  A mask
-    whose order is not inst's raises ValueError.
+    actually sees; instance._masked forms it, with its spectrum, once.
+    In the s > rank regime nothing is solved and best is None.  Otherwise
+    best is one linx._solve of C o M, labelled with mask.  In the s = rank
+    regime it runs at gamma = inf: the solve that limit_linx_at_infinity
+    makes of C o M.  In the interior regime it starts at the gamma that is
+    optimal for the diagonal of C o M, which makes it independent of the
+    scale of C.  A separable C o M takes the closed form there,
+    gamma = 1/d_s^2, with iterations 0.  Any other input, n = 2 included,
+    runs the barrier engine with psi = log(gamma) carried next to x, and
+    finds the saddle point (x, psi) of f, max over x and min over psi, by
+    joint Newton steps: a long one where the joint Newton decrement does
+    not grow, and the damped one otherwise, as in a fixed-gamma solve.  It
+    converges when the linearization gap meets opts' target and
+    |df/dpsi| <= linx.SLOPE_TOL, and stops unconverged at opts.max_iter or
+    at the engine's cap on t.  That point is best, the result at
+    gamma = e^psi: its x, f, gap, steps and convergence; nothing is solved
+    after it.  A mask whose order is not inst's raises ValueError.
     """
     s = int(s)
     mask = Mask.ones(inst.n) if mask is None else mask
@@ -163,9 +158,6 @@ def optimize_gamma(
 
     if regime.tag is RegimeTag.UNBOUNDED_BELOW:
         return GammaSearchResult(regime)
-    if regime.tag is RegimeTag.LIMIT_AT_INFINITY:
-        best = replace(limit_linx_at_infinity(eff, s, opts), mask_id=mask.label)
-    else:
-        gamma_diag = optimal_gamma_diagonal(np.sort(eff.d)[::-1], s)
-        best = _solve(eff, s, gamma_diag, mask.label, opts, search=True)
-    return GammaSearchResult(regime, best)
+    interior = regime.tag is RegimeTag.INTERIOR_OPTIMUM
+    gamma = optimal_gamma_diagonal(np.sort(eff.d)[::-1], s) if interior else math.inf
+    return GammaSearchResult(regime, _solve(eff, s, gamma, mask.label, opts, search=interior))

@@ -6,13 +6,13 @@ import math
 import numpy as np
 
 from linxbound import Mask, linx
-from linxbound.instance import _masked
+from linxbound.instance import _freeze, _masked
 from linxbound.linx import (
     DEFAULT_OPTIONS,
     TOL_FEAS,
+    BoundResult,
     _LinxProblem,
     _maximize_capped_simplex,
-    _result,
 )
 
 
@@ -123,8 +123,10 @@ def engine_solve(inst, s, mask=None, gamma=1.0, opts=DEFAULT_OPTIONS):
     engine's face finish and iteration cap tested on such separable inputs.
     """
     mask = Mask.ones(inst.n) if mask is None else mask
-    problem = linx_problem(inst, mask, gamma, s)
-    return _result(_maximize_capped_simplex(problem, opts), gamma, mask.label)
+    x, f, gap, iters, converged, _ = _maximize_capped_simplex(
+        linx_problem(inst, mask, gamma, s), opts)
+    return BoundResult(value=f, x_hat=_freeze(x), duality_gap=gap, gamma=gamma,
+                       mask_id=mask.label, iterations=iters, converged=converged)
 
 
 def reject_long_steps(monkeypatch):

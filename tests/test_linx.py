@@ -14,6 +14,7 @@ from linxbound import (
     linx_gradient,
     linx_objective,
     lmo_capped_simplex,
+    optimize_gamma,
     solve_diagonal_linx,
     solve_linx,
     validate,
@@ -411,13 +412,26 @@ class TestLineSearch:
 
     def test_unreachable_target_stops_early(self):
         # entries up to 3.4e3 and f about 116, so tol_fw = 1e-10 is about
-        # 1e-12 relative: every face try misses it at the rounding level,
-        # and before the cap on t the solve spent all 5,000 evaluations
+        # 1e-12 relative, near the rounding level of f, which the eigenbasis
+        # evaluation still meets in a few evaluations
         inst = _instance(2000.0 * gram_matrix(np.random.default_rng(0), 19), 9)
         res = solve_linx(inst, 9, opts=SolverOptions(tol_fw=1e-10))
         assert res.iterations <= 200
         assert is_feasible(res.x_hat, 9)
         assert res.duality_gap <= 1e-8
+
+    @pytest.mark.parametrize("search,seed,tol", [(False, 2, 1e-15), (False, 3, 1e-16),
+                                                 (True, 3, 1e-16)])
+    def test_target_below_rounding_stops_early(self, search, seed, tol):
+        # once t |f| eps reaches about 1 the rounding of psi_t swamps the
+        # Newton decrement; before t was capped there, these fixed-gamma
+        # and saddle solves spent all 5,000 evaluations
+        inst = _instance(2000.0 * gram_matrix(np.random.default_rng(seed), 19), 9)
+        opts = SolverOptions(tol_fw=tol)
+        res = optimize_gamma(inst, 9, opts=opts).best if search else solve_linx(inst, 9, opts=opts)
+        assert res.iterations <= 200
+        assert not res.converged
+        assert is_feasible(res.x_hat, 9)
 
 
 class TestKktStep:

@@ -150,11 +150,8 @@ class TestOptimizeGamma:
     def test_unbounded_regime_runs_no_solve(self, monkeypatch):
         # rank alone decides the s > rank regime, so no solve is spent on it
         calls = []
-        for name in ("_solve", "_maximize_capped_simplex"):
-            real = getattr(scaling, name)
-            monkeypatch.setattr(
-                scaling, name, lambda *a, real=real, **k: calls.append(a) or real(*a, **k)
-            )
+        real = scaling._solve
+        monkeypatch.setattr(scaling, "_solve", lambda *a, **k: calls.append(a) or real(*a, **k))
         inst = validate(SymMatrix.from_array(gram_matrix(np.random.default_rng(3), 12, 5)), 7)
         search = optimize_gamma(inst, 7)
         assert search.regime.tag is RegimeTag.UNBOUNDED_BELOW
@@ -247,12 +244,10 @@ class TestOptimizeGamma:
         # the tied block, and the 2x2 one the saddle solve; either way the
         # search builds one result, and best is it
         results = []
-        for owner in (linx, scaling):
-            real = owner._result
-            monkeypatch.setattr(
-                owner, "_result",
-                lambda *a, real=real, **k: results.append(real(*a, **k)) or results[-1],
-            )
+        real = linx.BoundResult
+        monkeypatch.setattr(
+            linx, "BoundResult", lambda *a, **k: results.append(real(*a, **k)) or results[-1]
+        )
         inst = validate(SymMatrix.from_array(entries), s)
         search = optimize_gamma(inst, s)
         assert len(results) == 1
@@ -291,6 +286,29 @@ class TestOptimizeGamma:
                 assert search.best.upper_bound >= opt - 1e-9 * max(1.0, abs(opt)), seed
         assert total <= 1500
 
+    def test_symmetric_2x2_search_converges(self):
+        # by symmetry the first x-step is exactly zero and only psi moves,
+        # so the long step must not divide by that step's zero reach
+        inst = validate(SymMatrix.from_array([[3.0, 2.0], [2.0, 3.0]]), 1)
+        search = optimize_gamma(inst, 1)
+        assert search.converged
+        assert search.gamma_hat == pytest.approx(optimal_gamma_2x2(3.0, 3.0, 2.0), rel=1e-9)
+        assert search.bound_value == pytest.approx(math.log(3.0), abs=1e-12)
+
+    def test_symmetric_families_bound_the_optimum(self):
+        # I + aJ and (1 + a)I - (a/n)J, whose symmetry can make an x-step
+        # exactly zero while psi moves (280 searches)
+        for n in range(2, 9):
+            J = np.ones((n, n))
+            for a in (0.1, 0.5, 1.0, 2.0, 3.0):
+                for C in (np.eye(n) + a * J, (1.0 + a) * np.eye(n) - (a / n) * J):
+                    for s in range(1, n):
+                        inst = validate(SymMatrix.from_array(C), s)
+                        search = optimize_gamma(inst, s)
+                        opt = exact_mesp(inst, s).value
+                        assert search.converged, (n, a, s)
+                        assert search.best.upper_bound >= opt - 1e-9 * max(1.0, abs(opt)), (n, a, s)
+
     def test_best_is_the_probe_at_gamma_hat(self):
         rng = np.random.default_rng(38)
         inst = validate(SymMatrix.from_array(gram_matrix(rng, 8)), 4)
@@ -312,6 +330,50 @@ class TestOptimizeGamma:
             assert res.value == pytest.approx(want, abs=1e-9)
             vals.append(res.value)
         assert vals == sorted(vals, reverse=True)
+
+
+class TestOneEntryPoint:
+    def test_every_engine_call_is_inside_one_solve(self, monkeypatch):
+        # linx._solve is the one door to the barrier engine: solve_linx, the
+        # limit program and both regimes of the scaling search make one
+        # _solve call each, and the engine runs only inside it
+        solves, engine, depth = [], [], [0]
+        real_solve, real_engine = linx._solve, linx._maximize_capped_simplex
+
+        def solve(*args, **kwargs):
+            solves.append(args)
+            depth[0] += 1
+            try:
+                return real_solve(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        def maximize(*args, **kwargs):
+            engine.append(depth[0])
+            return real_engine(*args, **kwargs)
+
+        for owner in (linx, scaling):
+            for name, fn in (("_solve", solve), ("_maximize_capped_simplex", maximize)):
+                if hasattr(owner, name):
+                    monkeypatch.setattr(owner, name, fn)
+        rng = np.random.default_rng(44)
+        full = validate(SymMatrix.from_array(gram_matrix(rng, 8)), 4)
+        low = validate(SymMatrix.from_array(gram_matrix(rng, 8, 3)), 3)
+        corr = Mask.from_matrix(SymMatrix.from_array(correlation_matrix(rng, 8)))
+        assert low.rank == 3
+        calls = {
+            "solve_linx": lambda: solve_linx(full, 4),
+            "limit_linx_at_infinity": lambda: limit_linx_at_infinity(low, 3),
+            "interior search": lambda: optimize_gamma(full, 4),
+            "masked interior search": lambda: optimize_gamma(full, 4, corr),
+            "s = rank search": lambda: optimize_gamma(low, 3),
+        }
+        for name, call in calls.items():
+            solves.clear()
+            engine.clear()
+            call()
+            assert len(solves) == 1, name
+            assert engine == [1], name
 
 
 class TestSaddleSteps:
