@@ -288,7 +288,8 @@ def linx_objective(inst: Instance, mask: Mask, gamma: float, x) -> float:
     """Objective value at x; -inf when F(x) is not positive definite.
 
     It is the solver's own evaluation, so at a result's x_hat and gamma it
-    returns that result's value.
+    returns that result's value: bit for bit for an engine result, to
+    rounding for the closed form of a diagonal C o M.
     """
     return _public_point(inst, mask, gamma, x)[0]
 
@@ -382,25 +383,25 @@ def _face_newton(evaluate, x, prev, point, psi, s: int, tol: float):
     _RATIO * prev_i, and at 1 likewise in 1 - x.  The rest are re-projected
     onto e.y = s and take up to _FACE_STEPS equality-constrained Newton
     steps of -2 f, which is self-concordant, jointly with psi when it is
-    carried, damped by 1/(1 + max(lam, mu)) while that maximum is at least
-    _CENTRED.  With nothing fixed the face is the whole polytope: y starts
-    at x, whose evaluated point is reused, and the try ends at the first
-    step that would need damping.  A step that would take a free
-    coordinate out of (0, 1) is cut at the boundary by a ratio test, once
-    per try, and every coordinate that lands there is fixed.
+    carried.  Newton converges fast only where the decrement max(lam, mu)
+    is below _CENTRED, so the try ends at the first step whose decrement is
+    not; outside that region the barrier does better.  With nothing fixed
+    the face is the whole polytope, and y starts at x, whose evaluated
+    point is reused.  Each step is the full one, or, by a ratio test, the
+    part of it that ends where the first free coordinate meets its bound,
+    and every coordinate that meets one there is fixed.
 
     The projected point (none when nothing is fixed) and each step cost
     one evaluate(y, psi) call.  Returns (y, psi, point) for the first
     point that meets the targets, and None when the face has no interior,
     F(y) is not positive definite or evaluate gives up, the free block is
-    singular, a second step needs the ratio test or the steps run out.
+    singular, a step is not centred or the steps run out.
     """
     low = (x < 0.5) & (x < _RATIO * prev)
     high = (x > 0.5) & (1.0 - x < _RATIO * (1.0 - prev))
     free = ~(low | high)
     whole = bool(free.all())
     y = np.where(high, 1.0, np.where(low, 0.0, x))
-    cut = False
     for steps in range(_FACE_STEPS + 1):
         k, m = int(free.sum()), s - int(y[~free].sum())
         if not (0 < m < k or m == k == 0):
@@ -426,33 +427,22 @@ def _face_newton(evaluate, x, prev, point, psi, s: int, tol: float):
             dy, dpsi, lam, mu = _kkt_step(-2.0 * g[free], -2.0 * hess[free][:, free], border)
         except np.linalg.LinAlgError:
             break
-        dec = max(lam, mu)
-        if dec >= _CENTRED and whole:
+        if max(lam, mu) >= _CENTRED:
             break
-        damp = 1.0 + dec if dec >= _CENTRED else 1.0
-        step = dy / damp
-        yf = y[free] + step
-        if yf.min() > 0.0 and yf.max() < 1.0:
-            y[free] = yf
-        elif cut:
-            break
-        else:
-            # ratio test: stop where the first free coordinate meets its
-            # bound, and fix every coordinate that meets one there
-            cut = True
-            yf = y[free]
-            with np.errstate(divide="ignore"):
-                reach = np.where(step < 0.0, yf, 1.0 - yf) / np.abs(step)
-            alpha = float(reach.min())
-            hit = reach <= alpha * (1.0 + _TIE)
-            step *= alpha
-            dpsi *= alpha
-            yf += step
-            yf[hit] = step[hit] > 0.0
-            y[free] = yf
-            free[free] = ~hit
+        # ratio test: the full step, or the step to where the first free
+        # coordinate meets its bound; every coordinate that meets one is fixed
+        yf = y[free]
+        with np.errstate(divide="ignore"):
+            reach = np.where(dy < 0.0, yf, 1.0 - yf) / np.abs(dy)
+        alpha = min(1.0, float(reach.min()))
+        hit = reach <= alpha * (1.0 + _TIE)
+        dy *= alpha
+        yf += dy
+        yf[hit] = dy[hit] > 0.0
+        y[free] = yf
+        free[free] = ~hit
         if psi is not None:
-            psi += dpsi / damp
+            psi += alpha * dpsi
     return None
 
 
@@ -598,7 +588,8 @@ def _solve(eff: Instance, s: int, gamma: float, label: str, opts: SolverOptions,
     carried next to x as its start when search is set, and the result is at
     gamma = e^psi of its last point.  Its value, x_hat and duality_gap all
     come from the engine's last evaluation, the one that linx_objective and
-    linx_gradient repeat at (x_hat, gamma).  On hitting the iteration cap,
+    linx_gradient repeat at (x_hat, gamma) bit for bit; for the closed form
+    they repeat them to rounding.  On hitting the iteration cap,
     or the cap on t, the last iterate is returned with converged=False; its
     duality_gap still upper-bounds how far the value can be below the true
     bound.
@@ -632,9 +623,10 @@ def solve_linx(
     """Maximize the relaxation objective over P(n, s) at gamma.
 
     mask=None means the all-ones mask (no masking).  This is _solve of
-    instance._masked(inst, mask): the barrier engine's result, whose value
-    and duality_gap are those that linx_objective and linx_gradient give at
-    x_hat, or the closed form of a diagonal C o M.
+    instance._masked(inst, mask): the barrier engine's result, or the
+    closed form of a diagonal C o M.  Its value and duality_gap are those
+    that linx_objective and linx_gradient give at x_hat: bit for bit for an
+    engine result, to rounding for the closed form.
     """
     s = _check_s(s, inst.n)
     mask = Mask.ones(inst.n) if mask is None else mask

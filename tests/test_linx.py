@@ -527,6 +527,17 @@ class TestFaceFinish:
         assert res.converged
         assert abs(res.value - solve_diagonal_linx(d, s).value) <= 1e-12
 
+    @pytest.mark.parametrize("seed, gamma", [(0, 2.0), (164, 0.5), (136, 1.0)])
+    def test_a_try_may_cut_twice(self, seed, gamma):
+        # a face try of each solve meets a bound in more than one step, and
+        # every step may stop at one
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 13))
+        s = int(rng.integers(1, n))
+        res = solve_linx(_instance(gram_matrix(rng, n), s), s, gamma=gamma)
+        assert res.converged
+        assert res.iterations <= 12
+
 
 def _separable_cases(rng):
     """(instance, s, mask, diag(C o M)) with ties, unit entries and scales
@@ -615,6 +626,16 @@ class TestEigenbasisCertificate:
             assert linx_objective(inst, Mask.ones(19), res.gamma, res.x_hat) == res.value
             grad = linx_gradient(inst, Mask.ones(19), res.gamma, res.x_hat)
             assert max(linx._fw_gap(grad, res.x_hat, 18), 0.0) == res.duality_gap
+        # the identity mask takes the diagonal closed form, whose value the
+        # evaluators repeat to rounding only
+        rng = np.random.default_rng(49)
+        for n in range(3, 14):
+            s = int(rng.integers(1, n))
+            inst = _instance(gram_matrix(rng, n), s)
+            for gamma in (0.5, 1.0, 3.0):
+                res = solve_linx(inst, s, Mask.identity(n), gamma)
+                f = linx_objective(inst, Mask.identity(n), gamma, res.x_hat)
+                assert abs(f - res.value) <= 1e-14 * max(1.0, abs(res.value))
 
 
 def test_is_feasible():

@@ -109,6 +109,17 @@ def _within_gaps(a, b, slack=1e-9):
     return abs(a.value - b.value) <= a.duality_gap + b.duality_gap + slack * max(1.0, abs(a.value))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(masked_instances(), st.floats(-3.0, 3.0), st.sampled_from([0.25, 1.0, 3.0]))
+def test_psi_map_is_convex(case, psi, h):
+    # z(psi) = max_x f(x, psi) is a maximum of functions convex in psi, so
+    # z(psi) <= (z(psi - h) + z(psi + h)) / 2; value <= z <= upper_bound
+    # makes the check rigorous whether or not the solves converge
+    inst, s, mask = case
+    lo, mid, hi = (solve_linx(inst, s, mask, math.exp(psi + k * h)) for k in (-1, 0, 1))
+    assert mid.value <= 0.5 * (lo.upper_bound + hi.upper_bound) + 1e-9 * max(1.0, abs(mid.value))
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(masked_instances(), st.data())
 def test_permuting_c_and_m_together_keeps_the_bound(case, data):
