@@ -89,24 +89,16 @@ def load_matrix(text) -> SymMatrix:
         raise ValueError(f"matrix order must be positive, got {n}")
     if len(data) != n + 1:
         raise ValueError(f"expected {n} matrix rows, found {len(data) - 1}")
-    rows = [ln.replace(",", " ").split() for ln in data[1:]]
-    for k, parts in enumerate(rows, start=1):
+    values = np.empty((n, n))
+    for k in range(1, n + 1):
+        parts = data[k].replace(",", " ").split()
         if len(parts) != n:
             raise ValueError(f"row {k}: expected {n} values, found {len(parts)}")
-    try:
-        values = np.array([p for parts in rows for p in parts], dtype=float)
-    except ValueError:
-        k = next(k for k, parts in enumerate(rows, start=1) if not _parses(parts))
-        raise ValueError(f"row {k}: could not parse {data[k]!r}") from None
-    return SymMatrix.from_array(values.reshape(n, n))
-
-
-def _parses(parts) -> bool:
-    try:
-        np.array(parts, dtype=float)
-    except ValueError:
-        return False
-    return True
+        try:
+            values[k - 1] = parts
+        except ValueError:
+            raise ValueError(f"row {k}: could not parse {data[k]!r}") from None
+    return SymMatrix.from_array(values)
 
 
 @dataclass(frozen=True, eq=False)

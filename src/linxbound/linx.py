@@ -13,17 +13,18 @@ exact on vertices (the basis of the binary scaling certificate).
 The maximizer is found by a log-barrier method.  F is affine in x, so
 -2 f is self-concordant, and so is the barrier function
 
-    psi_t(x) = -2 t f(x) - sum log x_i - sum log(1 - x_i),   t >= 1,
+    psi_t(x) = -2 t f(x) - sum log x_i - sum log(1 - x_i),   t >= 8,
 
-on the hyperplane e.x = s.  A Newton step dx whose decrement lam is at
-least 1/4 first tries the long step: the full step, or 0.7 of the way to
-the box boundary when that is shorter, kept when the Newton decrement
-there is no larger than lam.  Otherwise, and for every step with a smaller
+on the hyperplane e.x = s, from t = 8.  A Newton step dx whose decrement
+lam is at least 1/4 first tries the long step: the full step, or 0.7 of
+the way to the box boundary when that is shorter, kept when the Newton
+decrement there is no larger than lam.  Otherwise, and for every step with a smaller
 lam, it takes the damped step x + dx / (1 + lam): self-concordance
 guarantees that it stays inside the box and decreases psi_t.  Once an
 iterate is centred (lam < 1/4) the weight t grows by a fixed factor, until
-t is so large that the gap there is below the tolerance, or that rounding
-swamps psi_t.
+t is so large that the gap there is below the tolerance, or below the
+rounding floor 8 n eps max(1, |f0|) of f, f0 its value at the uniform
+start.  A solve whose target lies below that floor is never converged.
 Before t grows, every centred iterate after the first predicts the face of
 the optimum from its ratio to the previous one (a Tapia indicator: a
 coordinate headed for a bound shrinks its distance to it about as fast as
@@ -38,9 +39,10 @@ grad(x) . (v - x) over the vertices v of P(n, s), which upper-bounds the
 suboptimality of x.
 
 Every evaluation, the engine's and that of the public evaluators
-linx_objective and linx_gradient, is one _LinxProblem: it works in the
-eigenbasis of C o M, where a large gamma does not round away the small
-eigenvalues, and gamma = inf in it is the limit program of scaling.py.
+linx_objective and linx_gradient, is one _LinxProblem: it factors Q^T F Q
+in the eigenbasis Q of C o M, where a large gamma does not round away the
+small eigenvalues, and gamma = inf in it is the limit program of
+scaling.py.
 A result's value, gap and x_hat are the engine's last evaluation.
 
 C o M and its spectrum come from one place, instance._masked, and every
@@ -84,7 +86,7 @@ _RATIO = 0.4         # drop in distance to a bound between centred iterates that
 _FACE_STEPS = 4      # Newton steps allowed on a predicted face
 _TIE = 1e-9          # relative slack within which coordinates meet a bound in one ratio test
 _PSI_RUNAWAY = 60.0  # distance from its start at which a carried psi has run away
-_EPS = float(np.finfo(float).eps)  # the cap on t keeps t |f| _EPS below about 1
+_EPS = float(np.finfo(float).eps)  # unit of the rounding floor 8 n _EPS max(1, |f0|)
 _SIGNS = np.array([1.0, -1.0])  # weights of the rows u, v in u u^T - v v^T
 
 SLOPE_TOL = 1e-7     # target for |f_psi| when psi is carried
@@ -99,10 +101,13 @@ class SolverOptions:
 
     tol_fw is the absolute target for the linearization (Frank-Wolfe)
     duality gap; None means 1e-8 * max(1, |f(x0)|), fixed at the uniform
-    start x0.  max_iter caps the derivatives calls (evaluations of f and
-    its derivatives) of one solve, and a result's iterations is their
-    count: every trial step, a rejected long step too, every face step and
-    a face finish's projected point make one call.
+    start x0.  An engine solve whose tol_fw lies below the rounding floor
+    8 n eps max(1, |f(x0)|) of f is never reported converged: a gap that
+    small is rounding, not a certificate.  The default lies above the
+    floor for every n < 5e6.  max_iter caps the derivatives calls
+    (evaluations of f and its derivatives) of one solve, and a result's
+    iterations is their count: every trial step, a rejected long step too,
+    every face step and a face finish's projected point make one call.
     A tol_fw not finite and positive or a max_iter below 1 is rejected.
     """
 
@@ -181,17 +186,19 @@ class _LinxProblem:
     """Evaluation machinery for the linx program of one masked instance,
     A = C o M = eff.C = Q Diag(lam) Q^T, at one gamma in (0, inf].
 
-    With d = sqrt(gamma lam^2 + 1), u = sqrt(gamma) lam / d and v = 1 / d,
-    F(x) = gamma A X A + I - X = Q Diag(d) G(x) Diag(d) Q^T for
+    With u = sqrt(gamma) lam and v = e, F(x) = gamma A X A + I - X is
+    Q G(x) Q^T for
 
         G(x) = (u u^T - v v^T) o (Q^T X Q) + Diag(v^2),    X = Diag(x),
 
-    none of whose entries exceeds 1 in magnitude.  So f(x) = 0.5 * (logdet
-    G(x) - shift), shift = s log(gamma) - sum log d^2, and G keeps the small
-    eigenvalues that a dense F rounds away once gamma lam_1^2 dwarfs 1.  One
-    Cholesky factor G = L L^T per iterate serves the objective, the gradient
-    and the Hessian: with [Z_u | Z_v] = L^-1 [Diag(u) Q^T | Diag(v) Q^T],
-    K = Z_u^T Z_u, P = Z_u^T Z_v and N = Z_v^T Z_v,
+    so f(x) = 0.5 * (logdet G(x) - shift) with shift = s log(gamma).  G
+    keeps the small eigenvalues that a dense F rounds away once gamma
+    lam_1^2 dwarfs 1, because the eigenbasis separates them; a diagonal
+    scaling of G would not help, since it leaves Cholesky's accuracy as it
+    is.  One Cholesky factor G = L L^T per iterate serves the objective,
+    the gradient and the Hessian: with
+    [Z_u | Z_v] = L^-1 [Diag(u) Q^T | Diag(v) Q^T], K = Z_u^T Z_u,
+    P = Z_u^T Z_v and N = Z_v^T Z_v,
 
         grad = 0.5 * (diag(K) - diag(N)),
         hess = -0.5 * (K o K - (P o P + P^T o P^T) + N o N).
@@ -199,10 +206,10 @@ class _LinxProblem:
     In terms of W = F^-1 these are K = gamma A W A, P = sqrt(gamma) A W and
     N = W, so they are the derivatives of the dense logdet F.
 
-    gamma = inf is the limit program of s = rank(A): u = 1_s on the s
-    nonzero eigenvalues, v = e - u and shift = -2 sum_{i <= s} log lam_i.
-    Then G(x) is block-diag(P_s(x), I - P_rest(x)) for P(x) = Q^T X Q, and
-    f(x) = 0.5 * (logdet(Lam_s P_s(x) Lam_s) + logdet(I - P_rest(x))).
+    gamma = inf is the limit program of s = rank(A): u is lam on the s
+    nonzero eigenvalues and 0 elsewhere, v = e - 1_s and shift = 0.  Then
+    G(x) is block-diag(Lam_s P_s(x) Lam_s, I - P_rest(x)) for P(x) = Q^T X
+    Q, and f(x) = 0.5 * logdet G(x).
 
     The derivatives in psi = log(gamma) keep the form they take in F,
     because N = W and P o P = gamma (A W) o (A W): with dF/dpsi =
@@ -221,7 +228,7 @@ class _LinxProblem:
 
     def __init__(self, eff: Instance, gamma: float, s: int):
         self.n, self.gamma, self.s = eff.n, gamma, s
-        self.Q, self.lam, self.lam2 = eff.eigvecs, eff.eigvals, eff.eigvals * eff.eigvals
+        self.Q, self.lam = eff.eigvecs, eff.eigvals
         self._at = None
 
     def _scaled(self, gamma):
@@ -230,13 +237,10 @@ class _LinxProblem:
             n, s = self.n, self.s
             if gamma == math.inf:
                 v = (np.arange(n) >= s) * 1.0
-                rows = np.array((1.0 - v, v))
-                shift = -2.0 * float(np.log(self.lam[:s]).sum())
+                rows, shift = np.array(((1.0 - v) * self.lam, v)), 0.0
             else:
-                glam2 = gamma * self.lam2
-                v = 1.0 / np.sqrt(glam2 + 1.0)
-                rows = np.array((np.sqrt(glam2) * v, v))  # lam >= 0
-                shift = s * math.log(gamma) - float(np.log1p(glam2).sum())
+                v = np.ones(n)
+                rows, shift = np.array((math.sqrt(gamma) * self.lam, v)), s * math.log(gamma)
             # [Q Diag(u); Q Diag(v)] transposed, in the Fortran order LAPACK takes
             rhs = (self.Q * rows[:, None, :]).reshape(2 * n, n).T
             self._at = (gamma, (rows.T * _SIGNS) @ rows, v * v, rhs, shift)
@@ -491,12 +495,15 @@ def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
     x.  Stops when the linearization gap meets the tolerance, when the
     damped step has no point (max_iter derivatives calls are spent, f is
     undefined there, or rounding pushes it out of the open box), or when
-    a centred iterate misses the tolerance with t above
-    min(8 n / tol, 1 / (eps max(1, |f0|))), f0 the value at the uniform
-    start: the gap there is below n / (2 t) up to rounding, and once
-    t |f| eps is about 1 the rounding of psi_t swamps the Newton
-    decrement, so no iterate would centre again and the solve would run
-    to max_iter.  The cap holds with psi carried too.
+    a centred iterate misses the tolerance with t above 8 n / max(tol,
+    floor).  t starts at _T_GROWTH: a centring at t = 1 would only give the
+    first face try its reference point.  floor = 8 n eps max(1, |f0|), f0
+    the value at the uniform start, is the rounding floor of f: the gap at
+    a centred iterate is below n / (2 t) up to rounding, and once t |f| eps
+    is about 1 the rounding of psi_t swamps the Newton decrement, so no
+    iterate would centre again and the solve would run to max_iter.  The
+    cap holds with psi carried too.  A gap below a tol under the floor is
+    rounding, so such a solve is never converged.
 
     Given a starting psi, problem.derivatives(x, psi) must also return
     the psi-derivatives (the limit program is never given a psi), and the
@@ -530,8 +537,9 @@ def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
     if not np.isfinite(point[0]):
         raise ArithmeticError("objective is undefined at the uniform start point")
     tol = _gap_tol(opts, point[0])
-    t_cap = min(8.0 * n / tol, 1.0 / (_EPS * max(1.0, abs(point[0]))))
-    t = 1.0
+    floor = 8.0 * n * _EPS * max(1.0, abs(point[0]))
+    t_cap = 8.0 * n / max(tol, floor)
+    t = _T_GROWTH
     step = None  # a kept long step's Newton step, computed at the same t
     while not _met(point, x, s, tol):
         dx, dpsi, lam, mu = step or _newton_step(x, point, t)
@@ -570,7 +578,7 @@ def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
     if abs(drift) > TOL_FEAS:
         raise ArithmeticError(f"iterate left the simplex (drift {drift:.3g})")
     gap = _fw_gap(point[1], x, s)
-    converged = gap <= tol and _slope(point) <= SLOPE_TOL
+    converged = tol >= floor and gap <= tol and _slope(point) <= SLOPE_TOL
     return x, point[0], max(gap, 0.0), calls, converged, psi
 
 
@@ -590,9 +598,9 @@ def _solve(eff: Instance, s: int, gamma: float, label: str, opts: SolverOptions,
     come from the engine's last evaluation, the one that linx_objective and
     linx_gradient repeat at (x_hat, gamma) bit for bit; for the closed form
     they repeat them to rounding.  On hitting the iteration cap,
-    or the cap on t, the last iterate is returned with converged=False; its
-    duality_gap still upper-bounds how far the value can be below the true
-    bound.
+    or the cap on t, or with a target below the rounding floor, the last
+    iterate is returned with converged=False; its duality_gap still
+    upper-bounds how far the value can be below the true bound.
     """
     if gamma < math.inf and not np.any(eff.C.entries - np.diag(eff.d)):
         x = solve_diagonal_linx(math.sqrt(gamma) * eff.d, s).x_hat

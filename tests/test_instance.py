@@ -56,6 +56,12 @@ class TestLoadMatrix:
         with pytest.raises(ValueError, match=r"^row 2: could not parse '0, 1, x'$"):
             load_matrix("3\n1 0 0\n# note\n0, 1, x\n0 0 1\n")
 
+    def test_first_bad_row_is_named_whatever_its_fault(self):
+        # rows are parsed as they are counted: a short row after an
+        # unparsable one does not hide it
+        with pytest.raises(ValueError, match=r"^row 2: could not parse '0 x 0'$"):
+            load_matrix("3\n1 0 0\n0 x 0\n0 1\n")
+
     @pytest.mark.parametrize(
         "text",
         [

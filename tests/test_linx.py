@@ -52,7 +52,8 @@ class TestObjective:
         for _ in range(5):
             x = rng.dirichlet(np.ones(4)) * 2.0
             x = np.clip(x, 0.0, 1.0)
-            assert linx_objective(inst, Mask.ones(4), 1.0, x) == pytest.approx(0.0, abs=1e-12)
+            # Q^T F Q is exactly I: u = v = e cancel in u u^T - v v^T
+            assert linx_objective(inst, Mask.ones(4), 1.0, x) == 0.0
 
     def test_all_ones_at_uniform_point(self):
         inst = _instance(np.ones((2, 2)), 1)
@@ -432,6 +433,18 @@ class TestLineSearch:
         assert res.iterations <= 200
         assert not res.converged
         assert is_feasible(res.x_hat, 9)
+
+    def test_target_below_the_rounding_floor_never_converges(self, monkeypatch):
+        # eps patched so that the floor 8 n eps max(1, |f0|) is 2e-6: the
+        # gap meets tol_fw = 1e-6, but a target under the floor is rounding,
+        # not a certificate, so the result is not converged; its bound holds
+        inst = _instance(gram_matrix(np.random.default_rng(0), 10), 5)
+        f0 = linx_objective(inst, Mask.ones(10), 1.0, np.full(10, 0.5))
+        monkeypatch.setattr(linx, "_EPS", 2e-6 / (8 * 10 * max(1.0, abs(f0))))
+        res = solve_linx(inst, 5, opts=SolverOptions(tol_fw=1e-6))
+        assert res.duality_gap <= 1e-6
+        assert not res.converged
+        assert res.upper_bound >= exact_mesp(inst, 5).value
 
 
 class TestKktStep:
