@@ -54,16 +54,17 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_input=True):
+    def add_common(p, needs_input=True, solves=True):
         if needs_input:
             p.add_argument("--input", required=True, help="matrix file path")
             p.add_argument("--s", required=True, type=int, help="subset size")
         p.add_argument("--output", choices=("json", "csv", "plain"), default="json")
         p.add_argument("--log-base", choices=("e", "2", "10"), default="e")
-        p.add_argument("--tol-fw", type=float, default=DEFAULT_OPTIONS.tol_fw,
-                       help="duality-gap target")
-        p.add_argument("--max-iter", type=int, default=DEFAULT_OPTIONS.max_iter,
-                       help="derivative evaluations per solve")
+        if solves:
+            p.add_argument("--tol-fw", type=float, default=DEFAULT_OPTIONS.tol_fw,
+                           help="duality-gap target")
+            p.add_argument("--max-iter", type=int, default=DEFAULT_OPTIONS.max_iter,
+                           help="derivative evaluations per solve")
 
     p_bound = sub.add_parser("bound", help="evaluate the bound at a given gamma")
     add_common(p_bound)
@@ -75,7 +76,7 @@ def _parser() -> argparse.ArgumentParser:
     p_gamma.add_argument("--mask", default="none", help="none, identity, or file:<path>")
 
     p_exact = sub.add_parser("exact", help="exhaustive subset search")
-    add_common(p_exact)
+    add_common(p_exact, solves=False)
     p_exact.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
 
     p_gap = sub.add_parser("gap", help="bound-separation experiment")
@@ -203,7 +204,8 @@ def _bound_fields(res: BoundResult) -> dict:
 
 
 def _dispatch(config: argparse.Namespace) -> tuple[int, dict]:
-    opts = SolverOptions(tol_fw=config.tol_fw, max_iter=config.max_iter)
+    # exact never solves, so it takes no solver flags
+    opts = None if config.command == "exact" else SolverOptions(config.tol_fw, config.max_iter)
     if config.command == "gap":
         kind = GapKind.UNSCALED if config.kind == "unscaled" else GapKind.SCALED
         rows = run_gap_experiment(kind, config.n, config.c1, config.c2, opts)

@@ -42,8 +42,10 @@ Every evaluation, the engine's and that of the public evaluators
 linx_objective and linx_gradient, is one _LinxProblem: it factors Q^T F Q
 in the eigenbasis Q of C o M, where a large gamma does not round away the
 small eigenvalues, and gamma = inf in it is the limit program of
-scaling.py.
-A result's value, gap and x_hat are the engine's last evaluation.
+scaling.py.  A problem is immutable: what gamma does not change is built
+once, and an evaluation at psi scales it exactly as a problem built at
+gamma = e^psi does.  A result's value, gap and x_hat are the engine's last
+evaluation.
 
 C o M and its spectrum come from one place, instance._masked, and every
 bound, at any gamma in (0, inf], from one solve, _solve, the only caller of
@@ -51,8 +53,8 @@ the engine: solve_linx calls it at the given gamma, limit_linx_at_infinity
 at gamma = inf, and optimize_gamma at gamma = inf or, in its interior
 regime, with psi carried.  When C o M is diagonal and gamma finite the
 objective separates, and _solve returns the closed-form maximizer of
-diagonal.solve_diagonal_linx instead: with a = diag(C o M), gamma a_i^2 =
-(sqrt(gamma) a_i)^2, so the program is the unscaled one of
+diagonal.solve_diagonal_linx instead, and its value: with a = diag(C o M),
+gamma a_i^2 = (sqrt(gamma) a_i)^2, so the program is the unscaled one of
 Diag(sqrt(gamma) a), shifted by -s log(gamma) / 2.
 
 The scaling search runs the same engine with psi = log(gamma) as one more,
@@ -87,7 +89,6 @@ _FACE_STEPS = 4      # Newton steps allowed on a predicted face
 _TIE = 1e-9          # relative slack within which coordinates meet a bound in one ratio test
 _PSI_RUNAWAY = 60.0  # distance from its start at which a carried psi has run away
 _EPS = float(np.finfo(float).eps)  # unit of the rounding floor 8 n _EPS max(1, |f0|)
-_SIGNS = np.array([1.0, -1.0])  # weights of the rows u, v in u u^T - v v^T
 
 SLOPE_TOL = 1e-7     # target for |f_psi| when psi is carried
 TOL_FEAS = 1e-10     # largest rounding drift of e.x away from s that is accepted
@@ -97,13 +98,15 @@ TOL_BINARY = 1e-6    # distance to {0, 1} within which a coordinate counts as bi
 @dataclass(frozen=True)
 class SolverOptions:
     """The two knobs of the barrier solver, and the only place their
-    defaults live (the CLI's --tol-fw and --max-iter read them here).
+    defaults live (the --tol-fw and --max-iter of the CLI's solving
+    commands read them here).
 
     tol_fw is the absolute target for the linearization (Frank-Wolfe)
     duality gap; None means 1e-8 * max(1, |f(x0)|), fixed at the uniform
-    start x0.  An engine solve whose tol_fw lies below the rounding floor
-    8 n eps max(1, |f(x0)|) of f is never reported converged: a gap that
-    small is rounding, not a certificate.  The default lies above the
+    start x0 of an engine solve, and at the maximizer x0 itself for the
+    closed form of a diagonal C o M.  An engine solve whose tol_fw lies
+    below the rounding floor 8 n eps max(1, |f(x0)|) of f is never
+    reported converged: a gap that small is rounding, not a certificate.  The default lies above the
     floor for every n < 5e6.  max_iter caps the derivatives calls
     (evaluations of f and its derivatives) of one solve, and a result's
     iterations is their count: every trial step, a rejected long step too,
@@ -159,7 +162,8 @@ def _fw_gap(g, x, s: int) -> float:
 
 
 def _gap_tol(opts: SolverOptions, f0: float) -> float:
-    """Gap target of a solve whose objective is f0 at the uniform start."""
+    """Gap target of a solve whose objective is f0 at the uniform start,
+    or at the maximizer for the closed form."""
     return opts.tol_fw if opts.tol_fw is not None else 1e-8 * max(1.0, abs(f0))
 
 
@@ -168,18 +172,6 @@ def _check_gamma(gamma) -> float:
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValueError(f"gamma must be a finite positive number, got {gamma}")
     return float(gamma)
-
-
-def _cholesky(mat):
-    """Lower Cholesky factor, or None when mat is not positive definite."""
-    try:
-        return sla.cholesky(mat, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        return None
-
-
-def _logdet(chol) -> float:
-    return 2.0 * float(np.log(chol.diagonal()).sum())
 
 
 class _LinxProblem:
@@ -219,32 +211,35 @@ class _LinxProblem:
         f_psipsi = 0.5 * ((e - x) . diag(N) - (e - x) . (N o N) (e - x)),
         f_xpsi   = 0.5 * (diag(N) + (P o P) (e - x) - (N o N) (e - x)).
 
-    The gamma-dependent arrays are kept for the last gamma evaluated, so a
-    problem belongs to one solve.  A diagonal A takes the same formulas;
-    at a finite gamma _solve sends it to the closed form instead.  It
-    knows nothing of masks: eff comes masked, and gamma checked, from its
-    caller.
+    What gamma does not change is built once, in __init__: the rows
+    (u0, v) = (lam, e), or (lam on the top s, e - 1_s) at gamma = inf, and
+    [Diag(u0) Q^T | Diag(v) Q^T].  _scaled(gamma) scales them, and the
+    arrays at the problem's own gamma are kept in _fixed; a psi evaluation
+    scales them at e^psi, so it is the same computation as a problem built
+    at gamma = e^psi.  A problem is never changed after __init__.  A
+    diagonal A takes the same formulas; at a finite gamma _solve sends it
+    to the closed form instead.  It knows nothing of masks: eff comes
+    masked, and gamma checked, from its caller.
     """
 
     def __init__(self, eff: Instance, gamma: float, s: int):
-        self.n, self.gamma, self.s = eff.n, gamma, s
-        self.Q, self.lam = eff.eigvecs, eff.eigvals
-        self._at = None
+        n = eff.n
+        self.n, self.s, self.Q = n, s, eff.eigvecs
+        top = np.arange(n) < s
+        u0, v = (top * eff.eigvals, 1.0 - top) if gamma == math.inf else (eff.eigvals, np.ones(n))
+        self._rows = np.array((u0, v))
+        # [Q Diag(u0); Q Diag(v)] transposed, in the Fortran order LAPACK takes
+        self._rhs = (self.Q * self._rows[:, None, :]).reshape(2 * n, n).T
+        self._fixed = self._scaled(gamma)
 
     def _scaled(self, gamma):
-        """(u u^T - v v^T, v^2, [Diag(u) Q^T | Diag(v) Q^T], shift) at gamma."""
-        if self._at is None or self._at[0] != gamma:
-            n, s = self.n, self.s
-            if gamma == math.inf:
-                v = (np.arange(n) >= s) * 1.0
-                rows, shift = np.array(((1.0 - v) * self.lam, v)), 0.0
-            else:
-                v = np.ones(n)
-                rows, shift = np.array((math.sqrt(gamma) * self.lam, v)), s * math.log(gamma)
-            # [Q Diag(u); Q Diag(v)] transposed, in the Fortran order LAPACK takes
-            rhs = (self.Q * rows[:, None, :]).reshape(2 * n, n).T
-            self._at = (gamma, (rows.T * _SIGNS) @ rows, v * v, rhs, shift)
-        return self._at[1:]
+        """(u u^T - v v^T, v^2, [Diag(u) Q^T | Diag(v) Q^T], shift) at gamma,
+        u = sqrt(gamma) u0, or u = u0 and shift = 0 at gamma = inf."""
+        factor, shift = (1.0, 0.0) if gamma == math.inf else (gamma, self.s * math.log(gamma))
+        rows = self._rows
+        rhs = self._rhs.copy(order="F")
+        rhs[:, : self.n] *= math.sqrt(factor)
+        return (rows.T * (factor, -1.0)) @ rows, rows[1] * rows[1], rhs, shift
 
     def derivatives(self, x, psi=None):
         """(value, gradient, Hessian) of f at x; (-inf, None, None) where
@@ -254,11 +249,12 @@ class _LinxProblem:
         own gamma, and a fourth entry (f_psi, f_psipsi, f_xpsi) follows.
         """
         n = self.n
-        uv, v2, rhs, shift = self._scaled(self.gamma if psi is None else math.exp(psi))
+        uv, v2, rhs, shift = self._fixed if psi is None else self._scaled(math.exp(psi))
         G = uv * ((self.Q.T * x) @ self.Q)
         G.flat[:: n + 1] += v2
-        chol = _cholesky(G)
-        if chol is None:
+        try:
+            chol = sla.cholesky(G, lower=True, check_finite=False)
+        except np.linalg.LinAlgError:
             return NEG_INF, None, None
         linv, _ = sla.lapack.dtrtri(chol, lower=1)
         z = sla.blas.dtrmm(1.0, linv, rhs, lower=1)
@@ -267,7 +263,7 @@ class _LinxProblem:
         NN, PP, ndiag = N * N, P * P, N.diagonal()
         grad = 0.5 * (K.diagonal() - ndiag)
         hess = -0.5 * (K * K - (PP + PP.T) + NN)
-        out = (0.5 * (_logdet(chol) - shift), grad, hess)
+        out = (0.5 * (2.0 * float(np.log(chol.diagonal()).sum()) - shift), grad, hess)
         if psi is None:
             return out
         y = 1.0 - x
@@ -589,29 +585,28 @@ def _solve(eff: Instance, s: int, gamma: float, label: str, opts: SolverOptions,
     optimize_gamma, and the one place a BoundResult is built.
 
     gamma comes checked from the caller.  A diagonal A at a finite gamma
-    takes the closed form (see the module docstring): iterations is 0,
-    max_iter does not apply, and duality_gap is the linearization gap at
-    the closed-form maximizer.  Otherwise the barrier engine runs, gamma =
-    inf being the limit program of s = rank(A), with psi = log(gamma)
-    carried next to x as its start when search is set, and the result is at
-    gamma = e^psi of its last point.  Its value, x_hat and duality_gap all
-    come from the engine's last evaluation, the one that linx_objective and
-    linx_gradient repeat at (x_hat, gamma) bit for bit; for the closed form
-    they repeat them to rounding.  On hitting the iteration cap,
-    or the cap on t, or with a target below the rounding floor, the last
-    iterate is returned with converged=False; its duality_gap still
-    upper-bounds how far the value can be below the true bound.
+    takes the closed form (see the module docstring): value is
+    solve_diagonal_linx's value less s log(gamma) / 2, iterations is 0,
+    max_iter does not apply, duality_gap is the linearization gap at the
+    closed-form maximizer, and the default gap target comes from value
+    itself, since there is no uniform start.  Otherwise the barrier engine
+    runs, gamma = inf being the limit program of s = rank(A), with psi =
+    log(gamma) carried next to x as its start when search is set, and the
+    result is at gamma = e^psi of its last point.  Its value, x_hat and
+    duality_gap all come from the engine's last evaluation, the one that
+    linx_objective and linx_gradient repeat at (x_hat, gamma) bit for bit;
+    for the closed form they repeat them to rounding.  On hitting the
+    iteration cap, or the cap on t, or with a target below the rounding
+    floor, the last iterate is returned with converged=False; its
+    duality_gap still upper-bounds how far the value can be below the true
+    bound.
     """
     if gamma < math.inf and not np.any(eff.C.entries - np.diag(eff.d)):
-        x = solve_diagonal_linx(math.sqrt(gamma) * eff.d, s).x_hat
+        sol = solve_diagonal_linx(math.sqrt(gamma) * eff.d, s)
+        x, f, iters = sol.x_hat, sol.value - 0.5 * s * math.log(gamma), 0
         coef = gamma * eff.d * eff.d - 1.0
-
-        def value(y):
-            return 0.5 * (float(np.log(coef * y + 1.0).sum()) - s * math.log(gamma))
-
-        f, iters = value(x), 0
         gap = max(_fw_gap(0.5 * coef / (coef * x + 1.0), x, s), 0.0)
-        converged = gap <= _gap_tol(opts, value(np.full(eff.n, s / eff.n)))
+        converged = gap <= _gap_tol(opts, f)
     else:
         psi = math.log(gamma) if search else None
         x, f, gap, iters, converged, psi = _maximize_capped_simplex(

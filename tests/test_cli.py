@@ -234,6 +234,17 @@ class TestExactCommand:
         assert status == 1
         assert "cap" in text
 
+    @pytest.mark.parametrize("flag,value", [("--max-iter", "5"), ("--tol-fw", "1e-6")])
+    def test_takes_no_solver_flags(self, capsys, diag_file, flag, value):
+        # exact never solves: a solver flag is an unknown flag, not a checked option
+        assert main(["exact", "--input", diag_file, "--s", "1", flag, value]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert main(["exact", "--input", diag_file, "--s", "1"]) == 0
+        assert capsys.readouterr().out == (
+            '{"command": "exact", "n": 3, "s": 1, "value": 0.6931471805599454, '
+            '"x_hat": [1.0, 0.0, 0.0]}\n'
+        )
+
 
 class TestLimitCommand:
     def test_value(self, j2_file):

@@ -584,7 +584,7 @@ class TestSeparableDispatch:
                 res = solve_linx(inst, s, mask, gamma)
                 sol = solve_diagonal_linx(math.sqrt(gamma) * d, s)
                 np.testing.assert_array_equal(res.x_hat, sol.x_hat)
-                assert abs(res.value - (sol.value - 0.5 * s * math.log(gamma))) <= 1e-12
+                assert res.value == sol.value - 0.5 * s * math.log(gamma)
                 assert res.iterations == 0 and res.converged
                 # at a binary x_hat both sides are the same logdet, up to rounding
                 assert res.upper_bound >= ex - 1e-12 * max(1.0, abs(ex))
@@ -649,6 +649,35 @@ class TestEigenbasisCertificate:
                 res = solve_linx(inst, s, Mask.identity(n), gamma)
                 f = linx_objective(inst, Mask.identity(n), gamma, res.x_hat)
                 assert abs(f - res.value) <= 1e-14 * max(1.0, abs(res.value))
+
+
+class TestScaledRoute:
+    def test_psi_evaluation_is_the_fixed_gamma_evaluation(self):
+        # a psi evaluation scales the same arrays as a problem built at
+        # gamma = e^psi, so both give the same bits, also at gamma = 1e15
+        rng = np.random.default_rng(50)
+        cases = []
+        for _ in range(12):
+            n = int(rng.integers(3, 17))
+            cases.append((gram_matrix(rng, n), int(rng.integers(1, n))))
+        cases += [ill_conditioned(seed) for seed in (3000, 3007, 3057)]
+        compared = 0
+        for C, s in cases:
+            n = C.shape[0]
+            inst = _instance(C, s)
+            x = interior_point(rng, n, s)
+            carried = linx_problem(inst, Mask.ones(n), 1.0, s)
+            for gamma in (1e-8, 1e-3, 0.7, 1e3, 1e10, 1e15):
+                psi = math.log(gamma)
+                f, grad, hess = linx_problem(inst, Mask.ones(n), math.exp(psi), s).derivatives(x)
+                if not np.isfinite(f):
+                    continue  # F(x) is not positive definite at this gamma
+                f_psi, grad_psi, hess_psi = carried.derivatives(x, psi)[:3]
+                assert f_psi == f
+                np.testing.assert_array_equal(grad_psi, grad)
+                np.testing.assert_array_equal(hess_psi, hess)
+                compared += 1
+        assert compared >= 60
 
 
 def test_is_feasible():
