@@ -21,17 +21,18 @@ the way to the box boundary when that is shorter, kept when the Newton
 decrement there is no larger than lam.  Otherwise, and for every step with a smaller
 lam, it takes the damped step x + dx / (1 + lam): self-concordance
 guarantees that it stays inside the box and decreases psi_t.  Once an
-iterate is centred (lam < 1/4) the weight t grows by a fixed factor, until
-t is so large that the gap there is below the tolerance, or below the
-rounding floor 8 n eps max(1, |f0|) of f, f0 its value at the uniform
+iterate is centred (lam < 1/4) the weight t grows by a fixed factor, but
+never past the t at which the gap there is below the tolerance, or below
+the rounding floor 8 n eps max(1, |f0|) of f, f0 its value at the uniform
 start.  A solve whose target lies below that floor is never converged.
 Before t grows, every centred iterate after the first predicts the face of
 the optimum from its ratio to the previous one (a Tapia indicator: a
 coordinate headed for a bound shrinks its distance to it about as fast as
 t grows, an interior one keeps its value), fixes those coordinates at
-their bounds, and runs a few equality-constrained Newton steps on f alone
-over the rest, or over the whole polytope when nothing is fixed.  A point
-of that face which meets the tolerance ends the solve, so coordinates that
+their bounds, and takes equality-constrained Newton steps on f alone
+over the rest, or over the whole polytope when nothing is fixed, until
+Newton's decrement says the face's optimum is reached.  A point of that
+face which meets the tolerance ends the solve, so coordinates that
 belong at 0 or 1 come out exactly there, and an interior optimum is
 reached without driving t to 1/tol.  Convergence is certified
 independently of the method by the standard linearization gap max_v
@@ -85,7 +86,6 @@ _CENTRED = 0.25      # Newton decrement below which an iterate counts as centred
 _BOX_FRACTION = 0.7  # share of the longest step inside the box that a long step takes
 _T_GROWTH = 8.0      # barrier weight factor per centred iterate
 _RATIO = 0.4         # drop in distance to a bound between centred iterates that fixes x_i
-_FACE_STEPS = 4      # Newton steps allowed on a predicted face
 _TIE = 1e-9          # relative slack within which coordinates meet a bound in one ratio test
 _PSI_RUNAWAY = 60.0  # distance from its start at which a carried psi has run away
 _EPS = float(np.finfo(float).eps)  # unit of the rounding floor 8 n _EPS max(1, |f0|)
@@ -309,7 +309,8 @@ def linx_gradient(inst: Instance, mask: Mask, gamma: float, x) -> np.ndarray:
 def _kkt_step(grad, H, border=None):
     """Minimizer of grad.dx + dx.H.dx / 2 on e.dx = 0, and its decrement.
 
-    Returns (dx, dpsi, lam, mu).  Without border, dpsi = mu = 0.  With
+    Returns (dx, dpsi, dec), dec = max(lam, mu) with lam = sqrt(dx.H.dx)
+    the decrement of x.  Without border, dpsi = mu = 0.  With
     border = (g_psi, h_psipsi, h_xpsi), h_psipsi <= 0, a free scalar psi
     joins x and the step is the Newton step to the saddle point, min over
     dx and max over dpsi, of the quadratic model with the extra terms
@@ -336,19 +337,19 @@ def _kkt_step(grad, H, border=None):
     a, b, *c = sol.T
     dx = (a.sum() / b.sum()) * b - a
     if border is None:
-        return dx, 0.0, math.sqrt(max(-float(grad @ dx), 0.0)), 0.0
+        return dx, 0.0, math.sqrt(max(-float(grad @ dx), 0.0))
     g_psi, h_pp, h_xp = border
     dc = (c[0].sum() / b.sum()) * b - c[0]  # the x response to a unit dpsi
     schur = h_pp + float(h_xp @ dc)        # <= 0; 0 where the psi-map is flat
     dpsi = -(g_psi + float(h_xp @ dx)) / schur if schur != 0.0 else 0.0
     dx = dx + dpsi * dc
     lam = math.sqrt(max(-float((grad + dpsi * h_xp) @ dx), 0.0))
-    return dx, dpsi, lam, abs(dpsi) * max(1.0, math.sqrt(max(-h_pp, 0.0)))
+    return dx, dpsi, max(lam, abs(dpsi) * max(1.0, math.sqrt(max(-h_pp, 0.0))))
 
 
 def _newton_step(x, point, t: float):
     """Newton step of psi_t at an evaluated point, restricted to e.dx = 0:
-    (dx, dpsi, lam, mu), with dpsi = mu = 0 unless psi is carried."""
+    (dx, dpsi, dec) as _kkt_step gives it, dpsi = 0 unless psi is carried."""
     _, g, hess, *mixed = point
     u = 1.0 - x
     H = -2.0 * t * hess
@@ -373,7 +374,7 @@ def _reproject(x, s: int):
     return x + (s - float(x.sum())) / float(w.sum()) * w
 
 
-def _face_newton(evaluate, x, prev, point, psi, s: int, tol: float):
+def _face_newton(evaluate, x, prev, point, psi, s: int, tol: float, floor: float):
     """Newton on f over the face of P(n, s) that x approaches.
 
     The face comes from Tapia indicators, the ratios of x to the previous
@@ -381,54 +382,61 @@ def _face_newton(evaluate, x, prev, point, psi, s: int, tol: float):
     0 shrinks about _T_GROWTH-fold per growth of t, while an interior one
     keeps its value.  So x_i is fixed at 0 when x_i < 1/2 and x_i <
     _RATIO * prev_i, and at 1 likewise in 1 - x.  The rest are re-projected
-    onto e.y = s and take up to _FACE_STEPS equality-constrained Newton
-    steps of -2 f, which is self-concordant, jointly with psi when it is
-    carried.  Newton converges fast only where the decrement max(lam, mu)
-    is below _CENTRED, so the try ends at the first step whose decrement is
-    not; outside that region the barrier does better.  With nothing fixed
-    the face is the whole polytope, and y starts at x, whose evaluated
-    point is reused.  Each step is the full one, or, by a ratio test, the
-    part of it that ends where the first free coordinate meets its bound,
-    and every coordinate that meets one there is fixed.
+    onto e.y = s and take equality-constrained Newton steps of -2 f, which
+    is self-concordant, jointly with psi when it is carried.  Newton
+    converges fast only where the decrement dec = max(lam, mu) is below
+    _CENTRED, so the try ends at the first step whose decrement is not;
+    outside that region the barrier does better.  Inside it, a full step
+    taken from dec^2 <= max(tol, floor) lands within about dec^2 of the
+    face's optimum, so a point reached so that misses the targets shows
+    the face is wrong, and the try ends there too.  floor is the engine's
+    rounding floor of f, below which rounding can hold dec up.  With
+    nothing fixed the face is the whole polytope, and y starts at x, whose
+    evaluated point is reused.  Each step is the full one, or, by a ratio
+    test, the part of it that ends where the first free coordinate meets
+    its bound, and every coordinate that meets one there is fixed.
 
     The projected point (none when nothing is fixed) and each step cost
-    one evaluate(y, psi) call.  Returns (y, psi, point) for the first
-    point that meets the targets, and None when the face has no interior,
-    F(y) is not positive definite or evaluate gives up, the free block is
-    singular, a step is not centred or the steps run out.
+    one evaluate(y, psi) call, and evaluate's budget is the only bound on
+    their number.  Returns (y, psi, point) for the first point that meets
+    the targets, and None when the face has no interior, F(y) is not
+    positive definite or evaluate gives up, the free block is singular, a
+    step is not centred, or a point reached from dec^2 <= max(tol, floor)
+    misses the targets.
     """
     low = (x < 0.5) & (x < _RATIO * prev)
     high = (x > 0.5) & (1.0 - x < _RATIO * (1.0 - prev))
     free = ~(low | high)
-    whole = bool(free.all())
+    stale = not free.all()  # whether y still needs evaluating
     y = np.where(high, 1.0, np.where(low, 0.0, x))
-    for steps in range(_FACE_STEPS + 1):
+    dec = math.inf  # no step taken yet
+    while True:
         k, m = int(free.sum()), s - int(y[~free].sum())
         if not (0 < m < k or m == k == 0):
-            break
-        if steps or not whole:
+            return None
+        if stale:
             if k:
                 y = _reproject(y, s)
                 if not (y[free].min() > 0.0 and y[free].max() < 1.0):
-                    break  # also catches a step that is not finite
+                    return None  # also catches a step that is not finite
             point = evaluate(y, psi)
             if not np.isfinite(point[0]):
-                break
+                return None
             if _met(point, y, s, tol):
                 return y, psi, point
-        if k == 0 or steps == _FACE_STEPS:
-            break
+            if k == 0 or dec * dec <= max(tol, floor):
+                return None  # a vertex, or y is within about dec^2 of the face's optimum
         _, g, hess, *mixed = point
         border = None
         if mixed:
             f_psi, f_pp, f_xp = mixed[0]
             border = (-2.0 * f_psi, -2.0 * f_pp, -2.0 * f_xp[free])
         try:
-            dy, dpsi, lam, mu = _kkt_step(-2.0 * g[free], -2.0 * hess[free][:, free], border)
+            dy, dpsi, dec = _kkt_step(-2.0 * g[free], -2.0 * hess[free][:, free], border)
         except np.linalg.LinAlgError:
-            break
-        if max(lam, mu) >= _CENTRED:
-            break
+            return None
+        if dec >= _CENTRED:
+            return None
         # ratio test: the full step, or the step to where the first free
         # coordinate meets its bound; every coordinate that meets one is fixed
         yf = y[free]
@@ -443,7 +451,7 @@ def _face_newton(evaluate, x, prev, point, psi, s: int, tol: float):
         free[free] = ~hit
         if psi is not None:
             psi += alpha * dpsi
-    return None
+        stale = True
 
 
 def _trial(evaluate, x, dx, psi, dpsi, psi0, s: int):
@@ -491,23 +499,24 @@ def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
     x.  Stops when the linearization gap meets the tolerance, when the
     damped step has no point (max_iter derivatives calls are spent, f is
     undefined there, or rounding pushes it out of the open box), or when
-    a centred iterate misses the tolerance with t above 8 n / max(tol,
-    floor).  t starts at _T_GROWTH: a centring at t = 1 would only give the
-    first face try its reference point.  floor = 8 n eps max(1, |f0|), f0
-    the value at the uniform start, is the rounding floor of f: the gap at
-    a centred iterate is below n / (2 t) up to rounding, and once t |f| eps
-    is about 1 the rounding of psi_t swamps the Newton decrement, so no
-    iterate would centre again and the solve would run to max_iter.  The
-    cap holds with psi carried too.  A gap below a tol under the floor is
-    rounding, so such a solve is never converged.
+    a centred iterate misses the tolerance and growing t would take it
+    past the cap t_cap = 8 n / max(tol, floor), so t never exceeds it.  t
+    starts at _T_GROWTH: a centring at t = 1 would only give the first face
+    try its reference point.  floor = 8 n eps max(1, |f0|), f0 the value at
+    the uniform start, is the rounding floor of f: the gap at a centred
+    iterate is below n / (2 t) up to rounding, and once t |f| eps is about
+    1 the rounding of psi_t swamps the Newton decrement, so no iterate
+    would centre again and the solve would run to max_iter.  The cap holds
+    with psi carried too.  A gap below a tol under the floor is rounding,
+    so such a solve is never converged.
 
     Given a starting psi, problem.derivatives(x, psi) must also return
     the psi-derivatives (the limit program is never given a psi), and the
     engine finds the saddle point, max over x and min over psi, of
     f(x, psi), which is convex in psi.  Each step, the face finish's too,
-    is then the joint Newton step (dx, dpsi), and
-    max(lam, mu), with mu the decrement of the psi block, takes lam's
-    place above: in the damping, in the long step's rule (which moves psi
+    is then the joint Newton step (dx, dpsi), and its decrement
+    max(lam, mu), the dec of _kkt_step with mu that of the psi block, takes
+    lam's place above: in the damping, in the long step's rule (which moves psi
     by alpha dpsi and is rejected when that puts psi farther than
     _PSI_RUNAWAY from its start) and in the centring test, so t grows when
     both decrements are below _CENTRED.  The solve converges only when
@@ -538,19 +547,18 @@ def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
     t = _T_GROWTH
     step = None  # a kept long step's Newton step, computed at the same t
     while not _met(point, x, s, tol):
-        dx, dpsi, lam, mu = step or _newton_step(x, point, t)
-        if max(lam, mu) < _CENTRED:
+        dx, dpsi, dec = step or _newton_step(x, point, t)
+        if dec < _CENTRED:
             if prev is not None:
-                face = _face_newton(evaluate, x, prev, point, psi, s, tol)
+                face = _face_newton(evaluate, x, prev, point, psi, s, tol, floor)
                 if face is not None:
                     x, psi, point = face
                     break
-            if t > t_cap:
-                break  # the gap is below n / (2 t) < tol, or rounding swamps psi_t
+            if t * _T_GROWTH > t_cap:
+                break  # the gap is below n / (2 t) < tol, or rounding would swamp psi_t
             prev = x
             t *= _T_GROWTH
-            dx, dpsi, lam, mu = _newton_step(x, point, t)
-        dec = max(lam, mu)
+            dx, dpsi, dec = _newton_step(x, point, t)
         damp = 1.0 + dec
         if dec >= _CENTRED:
             # reach is 0 when only psi moves, and then the whole step is tried
@@ -563,7 +571,7 @@ def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
                 trial = _trial(evaluate, x, alpha * dx, psi, alpha * dpsi, psi0, s)
                 if trial is not None:
                     stepn = _newton_step(trial[0], trial[2], t)
-                    if max(stepn[2], stepn[3]) <= dec:
+                    if stepn[2] <= dec:
                         (x, psi, point), step = trial, stepn
                         continue
         trial = _trial(evaluate, x, dx / damp, psi, dpsi / damp, psi0, s)

@@ -135,7 +135,7 @@ def reject_long_steps(monkeypatch):
     damped step follows it.
 
     A damped trial is told from a long one by its step, which is the last
-    Newton step divided by 1 + max(lam, mu)."""
+    Newton step divided by 1 + its decrement max(lam, mu)."""
     newton_step, trial = linx._newton_step, linx._trial
     last = [None]
 
@@ -145,8 +145,8 @@ def reject_long_steps(monkeypatch):
 
     def rejecting(evaluate, x, dx, *rest):
         out = trial(evaluate, x, dx, *rest)
-        dx_last, _, lam, mu = last[0]
-        return out if np.array_equal(dx, dx_last / (1.0 + max(lam, mu))) else None
+        dx_last, _, dec = last[0]
+        return out if np.array_equal(dx, dx_last / (1.0 + dec)) else None
 
     monkeypatch.setattr(linx, "_newton_step", recorded)
     monkeypatch.setattr(linx, "_trial", rejecting)

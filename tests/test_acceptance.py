@@ -34,7 +34,7 @@ from linxbound import (
     validate,
 )
 
-from helpers import correlation_matrix, diagonal_entries, gram_matrix, random_pd_2x2
+from helpers import correlation_matrix, diagonal_entries, engine_solve, gram_matrix, random_pd_2x2
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -118,47 +118,63 @@ def test_criterion_03_gradient_check():
 
 
 def test_criterion_04_diagonal_closed_form():
+    # solve_linx answers a diagonal C by the closed form itself, so the
+    # barrier engine is compared with it too, at the same tolerances
     rng = np.random.default_rng(104)
-    worst_val = 0.0
-    worst_x = 0.0
+    worst_val = worst_x = worst_val_engine = worst_x_engine = 0.0
     all_uniform = True
+
+    def x_diff(a, b):
+        return float(np.max(np.abs(np.sort(a)[::-1] - np.sort(b)[::-1])))
+
     for _ in range(200):
         n = int(rng.integers(2, 13))
         s = int(rng.integers(1, n))
         d = diagonal_entries(rng, n)
         sol = solve_diagonal_linx(d, s)
-        res = solve_linx(validate(SymMatrix.from_diagonal(d), s), s)
+        inst = validate(SymMatrix.from_diagonal(d), s)
+        res, eng = solve_linx(inst, s), engine_solve(inst, s)
         worst_val = max(worst_val, abs(sol.value - res.value))
-        worst_x = max(
-            worst_x,
-            float(np.max(np.abs(np.sort(sol.x_hat)[::-1] - np.sort(res.x_hat)[::-1]))),
-        )
+        worst_x = max(worst_x, x_diff(sol.x_hat, res.x_hat))
+        worst_val_engine = max(worst_val_engine, abs(sol.value - eng.value))
+        worst_x_engine = max(worst_x_engine, x_diff(sol.x_hat, eng.x_hat))
         ds = np.sort(d)[::-1]
         all_uniform &= check_uniform_optimality(ds, s, np.sort(sol.x_hat)[::-1])
-    ok = worst_val <= 1e-6 and worst_x <= 1e-4 and all_uniform
+    ok = (max(worst_val, worst_val_engine) <= 1e-6 and max(worst_x, worst_x_engine) <= 1e-4
+          and all_uniform)
     _report(
         4,
         ok,
-        f"value diff {worst_val:.2e} (<= 1e-6), x diff {worst_x:.2e} (<= 1e-4), "
+        f"value diff {worst_val:.2e}, engine {worst_val_engine:.2e} (<= 1e-6), "
+        f"x diff {worst_x:.2e}, engine {worst_x_engine:.2e} (<= 1e-4), "
         f"uniform-optimality all pass {all_uniform}",
     )
 
 
 def test_criterion_05_diagonal_scaled_tightness():
+    # the closed form's own value, and the barrier engine's at the same gamma
     rng = np.random.default_rng(105)
-    worst_val = 0.0
-    worst_bin = 0.0
+    worst_val = worst_bin = worst_val_engine = worst_bin_engine = 0.0
+
+    def binary_dev(x):
+        return float(np.max(np.minimum(x, 1.0 - x)))
+
     for _ in range(100):
         n = int(rng.integers(2, 13))
         s = int(rng.integers(1, n))
         d = diagonal_entries(rng, n)
         ds = np.sort(d)[::-1]
         gamma = optimal_gamma_diagonal(ds, s)
-        res = solve_linx(validate(SymMatrix.from_diagonal(d), s), s, gamma=gamma)
-        worst_val = max(worst_val, abs(res.value - float(np.sum(np.log(ds[:s])))))
-        worst_bin = max(worst_bin, float(np.max(np.minimum(res.x_hat, 1.0 - res.x_hat))))
-    ok = worst_val <= 1e-8 and worst_bin <= 1e-6
-    _report(5, ok, f"tightness {worst_val:.2e} (<= 1e-8), binary dev {worst_bin:.2e} (<= 1e-6)")
+        inst = validate(SymMatrix.from_diagonal(d), s)
+        tight = float(np.sum(np.log(ds[:s])))
+        res, eng = solve_linx(inst, s, gamma=gamma), engine_solve(inst, s, gamma=gamma)
+        worst_val = max(worst_val, abs(res.value - tight))
+        worst_bin = max(worst_bin, binary_dev(res.x_hat))
+        worst_val_engine = max(worst_val_engine, abs(eng.value - tight))
+        worst_bin_engine = max(worst_bin_engine, binary_dev(eng.x_hat))
+    ok = max(worst_val, worst_val_engine) <= 1e-8 and max(worst_bin, worst_bin_engine) <= 1e-6
+    _report(5, ok, f"tightness {worst_val:.2e}, engine {worst_val_engine:.2e} (<= 1e-8), "
+                   f"binary dev {worst_bin:.2e}, engine {worst_bin_engine:.2e} (<= 1e-6)")
 
 
 def test_criterion_06_rank_one_2x2_closed_form():

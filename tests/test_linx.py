@@ -434,6 +434,22 @@ class TestLineSearch:
         assert not res.converged
         assert is_feasible(res.x_hat, 9)
 
+    @pytest.mark.parametrize("seed,tol", [(1, 1e-16), (1, 1e-17), (1, 1e-18), (47, 1e-17)])
+    def test_t_stops_below_the_cap(self, seed, tol):
+        # t was tested against its cap before it grew, so it could reach 8
+        # times the cap, where rounding keeps the decrement above 1/4; these
+        # searches (n = 12, s = 6 and n = 7, s = 5) spent all 5,000
+        # evaluations so, most of them at t = 1.8e16
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 20))
+        s = int(rng.integers(1, n))
+        inst = _instance(gram_matrix(rng, n), s)
+        res = optimize_gamma(inst, s, opts=SolverOptions(tol_fw=tol)).best
+        assert res.iterations <= 200
+        assert not res.converged
+        assert is_feasible(res.x_hat, s)
+        assert res.upper_bound >= exact_mesp(inst, s).value
+
     def test_target_below_the_rounding_floor_never_converges(self, monkeypatch):
         # eps patched so that the floor 8 n eps max(1, |f0|) is 2e-6: the
         # gap meets tol_fw = 1e-6, but a target under the floor is rounding,
@@ -454,22 +470,27 @@ class TestKktStep:
         b = rng.normal(size=(n, n))
         H = b @ b.T + np.eye(n)
         grad = rng.normal(size=n)
-        dx, dpsi, lam, mu = _kkt_step(grad, H)
+        dx, dpsi, dec = _kkt_step(grad, H)
         assert abs(dx.sum()) <= 1e-12
         residual = H @ dx + grad  # a multiple of e
         assert np.ptp(residual) <= 1e-12 * np.abs(residual).max()
-        assert lam == pytest.approx(math.sqrt(dx @ H @ dx), rel=1e-12)
-        assert dpsi == mu == 0.0
+        assert dec == pytest.approx(math.sqrt(dx @ H @ dx), rel=1e-12)
+        assert dpsi == 0.0
 
-        g_psi, h_pp, h_xp = 0.3, -2.5, rng.normal(size=n)
-        dx, dpsi, _, mu = _kkt_step(grad, H, (g_psi, h_pp, h_xp))
-        full = np.zeros((n + 2, n + 2))
-        full[:n, :n], full[:n, n], full[n, :n], full[n, n] = H, h_xp, h_xp, h_pp
-        full[:n, n + 1] = full[n + 1, :n] = 1.0
-        ref = np.linalg.solve(full, -np.r_[grad, g_psi, 0.0])
-        assert np.allclose(dx, ref[:n], rtol=0.0, atol=1e-12)
-        assert dpsi == pytest.approx(ref[n], abs=1e-12)
-        assert mu == pytest.approx(abs(dpsi) * math.sqrt(2.5), rel=1e-12)
+        # dec = max(lam, mu); lam is the larger at g_psi = 0.3, mu at g_psi = 30
+        h_pp, h_xp = -2.5, rng.normal(size=n)
+        for g_psi, lam_larger in ((0.3, True), (30.0, False)):
+            dx, dpsi, dec = _kkt_step(grad, H, (g_psi, h_pp, h_xp))
+            full = np.zeros((n + 2, n + 2))
+            full[:n, :n], full[:n, n], full[n, :n], full[n, n] = H, h_xp, h_xp, h_pp
+            full[:n, n + 1] = full[n + 1, :n] = 1.0
+            ref = np.linalg.solve(full, -np.r_[grad, g_psi, 0.0])
+            assert np.allclose(dx, ref[:n], rtol=0.0, atol=1e-12)
+            assert dpsi == pytest.approx(ref[n], abs=1e-12)
+            # on e.dx = 0 the KKT rows give -(grad + dpsi h_xp).dx = dx.H.dx
+            lam, mu = math.sqrt(dx @ H @ dx), abs(dpsi) * math.sqrt(2.5)
+            assert (lam > mu) == lam_larger
+            assert dec == pytest.approx(max(lam, mu), rel=1e-12)
 
     @pytest.mark.parametrize("carried", [False, True])
     def test_singular_matrix_raises(self, carried):
@@ -534,7 +555,10 @@ class TestFaceFinish:
 
     @pytest.mark.parametrize("d, s", [([1.0, 1.0, 0.5], 1), ([2.0, 1.0, 1.0, 0.5], 2)])
     def test_flat_coordinates_match_closed_form(self, d, s):
-        # gamma d_i^2 = 1 makes the free block of the face Hessian singular
+        # gamma d_i^2 = 1 makes f flat in x_i, with zero gradient and
+        # curvature, so the free block of such a face is singular; but any
+        # split of the flat coordinates is optimal, and the try's projected
+        # point meets the target before a step would meet that block
         d = np.array(d)
         res = engine_solve(_instance(np.diag(d), s), s)
         assert res.converged
@@ -550,6 +574,40 @@ class TestFaceFinish:
         res = solve_linx(_instance(gram_matrix(rng, n), s), s, gamma=gamma)
         assert res.converged
         assert res.iterations <= 12
+
+    @pytest.mark.parametrize("seed, n, calls", [(8, 8, 48), (29, 12, 55)])
+    def test_a_wrong_face_ends_at_its_optimum(self, seed, n, calls):
+        # tries on wrong faces reach the face's optimum in two or three
+        # steps; a fixed budget of four steps took 53 and 61 calls here
+        s = n // 2
+        res = solve_linx(_instance(gram_matrix(np.random.default_rng(seed), n), s), s)
+        assert res.converged
+        assert res.iterations <= calls
+
+    def test_a_try_ends_at_the_rounding_floor(self, monkeypatch):
+        # with a target below the floor, rounding holds dec^2 above the
+        # target, so a try ends once dec^2 is below the floor; testing dec^2
+        # against tol_fw alone let one try here take 17 evaluations
+        face_newton, longest = linx._face_newton, [0]
+
+        def counted(evaluate, *args):
+            calls = [0]
+
+            def counting(*point):
+                calls[0] += 1
+                return evaluate(*point)
+
+            out = face_newton(counting, *args)
+            longest[0] = max(longest[0], calls[0])
+            return out
+
+        monkeypatch.setattr(linx, "_face_newton", counted)
+        rng = np.random.default_rng(82)
+        n = int(rng.integers(6, 20))
+        s = int(rng.integers(1, n))
+        res = solve_linx(_instance(gram_matrix(rng, n), s), s, opts=SolverOptions(tol_fw=1e-16))
+        assert not res.converged
+        assert longest[0] <= 8
 
 
 def _separable_cases(rng):
