@@ -20,11 +20,14 @@ lam is at least 1/4 first tries the long step: the full step, or 0.7 of
 the way to the box boundary when that is shorter, kept when the Newton
 decrement there is no larger than lam.  Otherwise, and for every step with a smaller
 lam, it takes the damped step x + dx / (1 + lam): self-concordance
-guarantees that it stays inside the box and decreases psi_t.  Once an
-iterate is centred (lam < 1/4) the weight t grows by a fixed factor, but
-never past the t at which the gap there is below the tolerance, or below
-the rounding floor 8 n eps max(1, |f0|) of f, f0 its value at the uniform
-start.  A solve whose target lies below that floor is never converged.
+guarantees that it stays inside the box and decreases psi_t.  The solve
+has one stopping target, max(tol, floor), where floor = 8 n eps
+max(1, |f0|) is the rounding floor of f, f0 its value at the uniform
+start: the gap test, the face finish and the cap on t all read it.  Once
+an iterate is centred (lam < 1/4) the weight t grows by a fixed factor,
+but never past the t at which the gap there is below the target.  So a
+tol at or below the floor gives exactly the result of tol = floor, and
+such a solve is never converged, since a gap that small is rounding.
 Before t grows, every centred iterate after the first predicts the face of
 the optimum from its ratio to the previous one (a Tapia indicator: a
 coordinate headed for a bound shrinks its distance to it about as fast as
@@ -32,7 +35,7 @@ t grows, an interior one keeps its value), fixes those coordinates at
 their bounds, and takes equality-constrained Newton steps on f alone
 over the rest, or over the whole polytope when nothing is fixed, until
 Newton's decrement says the face's optimum is reached.  A point of that
-face which meets the tolerance ends the solve, so coordinates that
+face which meets the target ends the solve, so coordinates that
 belong at 0 or 1 come out exactly there, and an interior optimum is
 reached without driving t to 1/tol.  Convergence is certified
 independently of the method by the standard linearization gap max_v
@@ -72,6 +75,7 @@ instances may run concurrently.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,21 +108,25 @@ class SolverOptions:
     tol_fw is the absolute target for the linearization (Frank-Wolfe)
     duality gap; None means 1e-8 * max(1, |f(x0)|), fixed at the uniform
     start x0 of an engine solve, and at the maximizer x0 itself for the
-    closed form of a diagonal C o M.  An engine solve whose tol_fw lies
-    below the rounding floor 8 n eps max(1, |f(x0)|) of f is never
-    reported converged: a gap that small is rounding, not a certificate.  The default lies above the
+    closed form of a diagonal C o M.  An engine solve stops at the target
+    max(tol_fw, floor), floor = 8 n eps max(1, |f(x0)|) the rounding floor
+    of f, so a tol_fw at or below the floor gives exactly the result of
+    tol_fw = floor; such a solve is never reported converged, since a gap
+    that small is rounding, not a certificate.  The default lies above the
     floor for every n < 5e6.  max_iter caps the derivatives calls
     (evaluations of f and its derivatives) of one solve, and a result's
     iterations is their count: every trial step, a rejected long step too,
     every face step and a face finish's projected point make one call.
-    A tol_fw not finite and positive or a max_iter below 1 is rejected.
+    A tol_fw not finite and positive or a max_iter below 1 raises
+    ValueError, and a max_iter that is not an integer (a numpy integer
+    is one) raises TypeError.
     """
 
     tol_fw: float | None = None
     max_iter: int = 5000
 
     def __post_init__(self):
-        if self.max_iter < 1:
+        if operator.index(self.max_iter) < 1:  # a float max_iter would never be reached
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.tol_fw is not None and not (math.isfinite(self.tol_fw) and self.tol_fw > 0.0):
             raise ValueError(f"tol_fw must be a finite positive number, got {self.tol_fw}")
@@ -374,7 +382,7 @@ def _reproject(x, s: int):
     return x + (s - float(x.sum())) / float(w.sum()) * w
 
 
-def _face_newton(evaluate, x, prev, point, psi, s: int, tol: float, floor: float):
+def _face_newton(evaluate, x, prev, point, psi, s: int, tol: float):
     """Newton on f over the face of P(n, s) that x approaches.
 
     The face comes from Tapia indicators, the ratios of x to the previous
@@ -387,10 +395,11 @@ def _face_newton(evaluate, x, prev, point, psi, s: int, tol: float, floor: float
     converges fast only where the decrement dec = max(lam, mu) is below
     _CENTRED, so the try ends at the first step whose decrement is not;
     outside that region the barrier does better.  Inside it, a full step
-    taken from dec^2 <= max(tol, floor) lands within about dec^2 of the
-    face's optimum, so a point reached so that misses the targets shows
-    the face is wrong, and the try ends there too.  floor is the engine's
-    rounding floor of f, below which rounding can hold dec up.  With
+    taken from dec^2 <= tol lands within about dec^2 of the face's
+    optimum, so a point reached so that misses the targets shows the face
+    is wrong, and the try ends there too.  tol is the engine's one target
+    max(tol_fw, floor), never below the rounding floor of f, under which
+    rounding can hold dec up.  With
     nothing fixed the face is the whole polytope, and y starts at x, whose
     evaluated point is reused.  Each step is the full one, or, by a ratio
     test, the part of it that ends where the first free coordinate meets
@@ -401,8 +410,8 @@ def _face_newton(evaluate, x, prev, point, psi, s: int, tol: float, floor: float
     their number.  Returns (y, psi, point) for the first point that meets
     the targets, and None when the face has no interior, F(y) is not
     positive definite or evaluate gives up, the free block is singular, a
-    step is not centred, or a point reached from dec^2 <= max(tol, floor)
-    misses the targets.
+    step is not centred, or a point reached from dec^2 <= tol misses the
+    targets.
     """
     low = (x < 0.5) & (x < _RATIO * prev)
     high = (x > 0.5) & (1.0 - x < _RATIO * (1.0 - prev))
@@ -424,7 +433,7 @@ def _face_newton(evaluate, x, prev, point, psi, s: int, tol: float, floor: float
                 return None
             if _met(point, y, s, tol):
                 return y, psi, point
-            if k == 0 or dec * dec <= max(tol, floor):
+            if k == 0 or dec * dec <= tol:
                 return None  # a vertex, or y is within about dec^2 of the face's optimum
         _, g, hess, *mixed = point
         border = None
@@ -492,23 +501,28 @@ def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
     the next iteration's.  Every other step, and the one after a
     rejected trial, is the damped step dx / (1 + lam), which
     self-concordance keeps inside the box and descending.  So each trial,
-    kept or rejected, costs one derivatives call.  Each centred iterate
-    but the first tries _face_newton on the face that its ratio to the
-    previous centred iterate predicts, and returns that face's point when
-    it meets the tolerance; otherwise t grows and the barrier goes on from
-    x.  Stops when the linearization gap meets the tolerance, when the
-    damped step has no point (max_iter derivatives calls are spent, f is
-    undefined there, or rounding pushes it out of the open box), or when
-    a centred iterate misses the tolerance and growing t would take it
-    past the cap t_cap = 8 n / max(tol, floor), so t never exceeds it.  t
-    starts at _T_GROWTH: a centring at t = 1 would only give the first face
-    try its reference point.  floor = 8 n eps max(1, |f0|), f0 the value at
-    the uniform start, is the rounding floor of f: the gap at a centred
-    iterate is below n / (2 t) up to rounding, and once t |f| eps is about
-    1 the rounding of psi_t swamps the Newton decrement, so no iterate
-    would centre again and the solve would run to max_iter.  The cap holds
-    with psi carried too.  A gap below a tol under the floor is rounding,
-    so such a solve is never converged.
+    kept or rejected, costs one derivatives call.
+
+    The solve has one stopping target, target = max(tol, floor), with tol
+    the gap target of opts and floor = 8 n eps max(1, |f0|), f0 the value
+    at the uniform start, the rounding floor of f.  Each centred iterate
+    but the first tries _face_newton, given the target, on the face that
+    its ratio to the previous centred iterate predicts, and returns that
+    face's point when it meets the target; otherwise t grows and the
+    barrier goes on from x.  Stops when the linearization gap meets the
+    target, when the damped step has no point (max_iter derivatives calls
+    are spent, f is undefined there, or rounding pushes it out of the open
+    box), or when a centred iterate misses the target and growing t would
+    take it past the cap 8 n / target, so t never exceeds it.  t starts at
+    _T_GROWTH: a centring at t = 1 would only give the first face try its
+    reference point.  The gap at a centred iterate is below n / (2 t) up
+    to rounding, and once t |f| eps is about 1 the rounding of psi_t
+    swamps the Newton decrement, so no iterate would centre again and the
+    solve would run to max_iter; a target below the floor would also keep
+    the face tries chasing rounding.  The cap holds with psi carried too.
+    So a tol at or below the floor gives exactly the result of tol =
+    floor.  floor is read once more, by converged: a gap below a tol under
+    the floor is rounding, so such a solve is never converged.
 
     Given a starting psi, problem.derivatives(x, psi) must also return
     the psi-derivatives (the limit program is never given a psi), and the
@@ -543,19 +557,20 @@ def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
         raise ArithmeticError("objective is undefined at the uniform start point")
     tol = _gap_tol(opts, point[0])
     floor = 8.0 * n * _EPS * max(1.0, abs(point[0]))
-    t_cap = 8.0 * n / max(tol, floor)
-    t = _T_GROWTH
-    step = None  # a kept long step's Newton step, computed at the same t
-    while not _met(point, x, s, tol):
+    target = max(tol, floor)  # the one stopping target; floor is read again only by converged
+    t, step = _T_GROWTH, None  # step: a kept long step's Newton step, computed at the same t
+    while not _met(point, x, s, target):
         dx, dpsi, dec = step or _newton_step(x, point, t)
         if dec < _CENTRED:
             if prev is not None:
-                face = _face_newton(evaluate, x, prev, point, psi, s, tol, floor)
+                face = _face_newton(evaluate, x, prev, point, psi, s, target)
                 if face is not None:
                     x, psi, point = face
                     break
-            if t * _T_GROWTH > t_cap:
-                break  # the gap is below n / (2 t) < tol, or rounding would swamp psi_t
+            if t * _T_GROWTH > 8.0 * n / target:
+                # the cap on t: the gap is below n / (2 t) < target here, and
+                # past it a target at the floor would leave psi_t to rounding
+                break
             prev = x
             t *= _T_GROWTH
             dx, dpsi, dec = _newton_step(x, point, t)
@@ -603,8 +618,9 @@ def _solve(eff: Instance, s: int, gamma: float, label: str, opts: SolverOptions,
     result is at gamma = e^psi of its last point.  Its value, x_hat and
     duality_gap all come from the engine's last evaluation, the one that
     linx_objective and linx_gradient repeat at (x_hat, gamma) bit for bit;
-    for the closed form they repeat them to rounding.  On hitting the
-    iteration cap, or the cap on t, or with a target below the rounding
+    for the closed form they repeat them to rounding.  A tol_fw at or
+    below the engine's rounding floor is solved to the floor itself.  On
+    hitting the iteration cap, or the cap on t, or with a tol_fw below the
     floor, the last iterate is returned with converged=False; its
     duality_gap still upper-bounds how far the value can be below the true
     bound.

@@ -290,6 +290,17 @@ class TestSolve:
         assert not res.converged
         assert res.iterations == 1
 
+    def test_max_iter_must_be_an_integer(self):
+        # the budget is spent when the call count equals max_iter, which a
+        # count never does for 3.5: such a solve ran 10 calls and converged
+        with pytest.raises(TypeError):
+            SolverOptions(max_iter=3.5)
+        with pytest.raises(TypeError):
+            SolverOptions(max_iter=3.0)
+        inst = _instance(gram_matrix(np.random.default_rng(0), 8), 4)
+        res = solve_linx(inst, 4, opts=SolverOptions(max_iter=np.int64(3)))
+        assert res.iterations == 3 and not res.converged
+
     def test_upper_bound_is_value_plus_gap(self):
         res = solve_linx(_instance(gram_matrix(np.random.default_rng(45), 6), 3), 3)
         assert res.upper_bound == res.value + res.duality_gap
@@ -424,43 +435,106 @@ class TestLineSearch:
     @pytest.mark.parametrize("search,seed,tol", [(False, 2, 1e-15), (False, 3, 1e-16),
                                                  (True, 3, 1e-16)])
     def test_target_below_rounding_stops_early(self, search, seed, tol):
-        # once t |f| eps reaches about 1 the rounding of psi_t swamps the
-        # Newton decrement; before t was capped there, these fixed-gamma
-        # and saddle solves spent all 5,000 evaluations
+        # these targets lie below the rounding floor, so the engine stops at
+        # the floor, after 4, 9 and 11 evaluations; a solve that chases a
+        # target under it spends tens of evaluations on rounding
         inst = _instance(2000.0 * gram_matrix(np.random.default_rng(seed), 19), 9)
         opts = SolverOptions(tol_fw=tol)
         res = optimize_gamma(inst, 9, opts=opts).best if search else solve_linx(inst, 9, opts=opts)
-        assert res.iterations <= 200
+        assert res.iterations <= 20
         assert not res.converged
         assert is_feasible(res.x_hat, 9)
 
     @pytest.mark.parametrize("seed,tol", [(1, 1e-16), (1, 1e-17), (1, 1e-18), (47, 1e-17)])
     def test_t_stops_below_the_cap(self, seed, tol):
-        # t was tested against its cap before it grew, so it could reach 8
-        # times the cap, where rounding keeps the decrement above 1/4; these
-        # searches (n = 12, s = 6 and n = 7, s = 5) spent all 5,000
-        # evaluations so, most of them at t = 1.8e16
+        # sub-floor targets, met at the floor in 11, 11, 11 and 13
+        # evaluations; past the cap on t, rounding would keep the decrement
+        # above 1/4 and these searches (n = 12, s = 6 and n = 7, s = 5)
+        # would spend all 5,000
         rng = np.random.default_rng(seed)
         n = int(rng.integers(6, 20))
         s = int(rng.integers(1, n))
         inst = _instance(gram_matrix(rng, n), s)
         res = optimize_gamma(inst, s, opts=SolverOptions(tol_fw=tol)).best
-        assert res.iterations <= 200
+        assert res.iterations <= 20
         assert not res.converged
         assert is_feasible(res.x_hat, s)
         assert res.upper_bound >= exact_mesp(inst, s).value
 
     def test_target_below_the_rounding_floor_never_converges(self, monkeypatch):
         # eps patched so that the floor 8 n eps max(1, |f0|) is 2e-6: the
-        # gap meets tol_fw = 1e-6, but a target under the floor is rounding,
-        # not a certificate, so the result is not converged; its bound holds
+        # engine stops at the floor, not at tol_fw = 1e-6, and a target
+        # under the floor is rounding, not a certificate, so the result is
+        # not converged; its bound holds
         inst = _instance(gram_matrix(np.random.default_rng(0), 10), 5)
         f0 = linx_objective(inst, Mask.ones(10), 1.0, np.full(10, 0.5))
-        monkeypatch.setattr(linx, "_EPS", 2e-6 / (8 * 10 * max(1.0, abs(f0))))
+        floor = 2e-6
+        monkeypatch.setattr(linx, "_EPS", floor / (8 * 10 * max(1.0, abs(f0))))
         res = solve_linx(inst, 5, opts=SolverOptions(tol_fw=1e-6))
-        assert res.duality_gap <= 1e-6
+        assert res.duality_gap <= floor
         assert not res.converged
         assert res.upper_bound >= exact_mesp(inst, 5).value
+
+    @pytest.mark.parametrize("case", ["ill3000", "ill3018", "ill3019", "ill3022",
+                                      "gram2", "gram3"])
+    def test_every_target_below_the_floor_gives_one_result(self, case):
+        # the engine stops at max(tol_fw, floor), so all these sub-floor
+        # targets give the result of tol_fw = floor, never converged; the
+        # searches take 11 or 12 evaluations, the solves 4 and 9
+        if case.startswith("ill"):
+            entries, s = ill_conditioned(int(case[3:]))
+        else:
+            entries, s = 2000.0 * gram_matrix(np.random.default_rng(int(case[4:])), 19), 9
+        inst = _instance(entries, s)
+        results = []
+        for tol in (1e-15, 1e-16, 1e-18):
+            opts = SolverOptions(tol_fw=tol)
+            if case.startswith("ill"):
+                res = optimize_gamma(inst, s, opts=opts).best
+            else:
+                res = solve_linx(inst, s, opts=opts)
+            assert res.iterations <= 20
+            assert not res.converged
+            assert is_feasible(res.x_hat, s)
+            results.append(res)
+        first = results[0]
+        for res in results[1:]:
+            assert (res.value, res.duality_gap, res.iterations) == (
+                first.value, first.duality_gap, first.iterations)
+            assert np.array_equal(res.x_hat, first.x_hat)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_t_cap_ends_an_unreachable_target(self, monkeypatch, seed):
+        # SLOPE_TOL < 0 makes the target unreachable, for a fixed-gamma
+        # solve too, and keeps converged False, which a patched _met would
+        # not, so only the cap on t ends the barrier; t never passes
+        # 8 n / max(tol, floor), and the solves take 55 to 65 evaluations
+        newton_step, gap_tol = linx._newton_step, linx._gap_tol
+        ts, caps = [], []
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 20))
+        s = int(rng.integers(1, n))
+
+        def recorded_step(x, point, t):
+            ts.append(t)
+            return newton_step(x, point, t)
+
+        def recorded_tol(opts, f0):
+            tol = gap_tol(opts, f0)
+            caps.append(8.0 * n / max(tol, 8.0 * n * linx._EPS * max(1.0, abs(f0))))
+            return tol
+
+        monkeypatch.setattr(linx, "SLOPE_TOL", -1.0)
+        monkeypatch.setattr(linx, "_newton_step", recorded_step)
+        monkeypatch.setattr(linx, "_gap_tol", recorded_tol)
+        inst = _instance(gram_matrix(rng, n), s)
+        for solve in (lambda: solve_linx(inst, s), lambda: optimize_gamma(inst, s).best):
+            ts.clear()
+            caps.clear()
+            res = solve()
+            assert not res.converged
+            assert res.iterations <= 100
+            assert len(caps) == 1 and max(ts) <= caps[0]
 
 
 class TestKktStep:
@@ -585,9 +659,10 @@ class TestFaceFinish:
         assert res.iterations <= calls
 
     def test_a_try_ends_at_the_rounding_floor(self, monkeypatch):
-        # with a target below the floor, rounding holds dec^2 above the
-        # target, so a try ends once dec^2 is below the floor; testing dec^2
-        # against tol_fw alone let one try here take 17 evaluations
+        # with a tol_fw below the floor, rounding would hold dec^2 above it,
+        # so a try is given the engine's target max(tol_fw, floor) and ends
+        # once dec^2 is below the floor; the one try here takes 5
+        # evaluations, and testing dec^2 against tol_fw alone took 17
         face_newton, longest = linx._face_newton, [0]
 
         def counted(evaluate, *args):
