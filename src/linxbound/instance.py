@@ -192,22 +192,32 @@ def _masked(inst: Instance, mask: Mask) -> Instance:
 
 
 def _spectral(C: SymMatrix) -> Instance:
-    """validate's body, which needs no s."""
+    """validate's body, which needs no s.
+
+    A diagonal C is its own eigendecomposition: its spectrum is the
+    diagonal sorted non-increasing (ties in index order) and its
+    eigenvectors the matching unit vectors, exactly, so it takes neither
+    eigh nor the checks of its result.
+    """
     d = np.diagonal(C.entries)
     if np.any(d <= 0.0):
         raise ValueError("all diagonal entries must be positive")
-    w, Q = np.linalg.eigh(C.entries)
-    w = w[::-1].copy()
-    Q = Q[:, ::-1].copy()
+    if not np.any(C.entries - np.diag(d)):
+        order = np.argsort(-d, kind="stable")
+        w, Q = d[order], np.eye(C.n)[:, order]
+    else:
+        w, Q = np.linalg.eigh(C.entries)
+        w = w[::-1].copy()
+        Q = Q[:, ::-1].copy()
+        tol_psd = TOL_PSD * max(1.0, float(w[0]))
+        if float(w[-1]) < -tol_psd:
+            raise ValueError(
+                f"matrix is not positive semidefinite (min eigenvalue {float(w[-1]):.3g})"
+            )
+        w[w < 0.0] = 0.0
+        recon = float(np.max(np.abs((Q * w) @ Q.T - C.entries)))
+        if recon > TOL_RECON * max(1.0, float(w[0])):
+            raise ValueError(f"eigendecomposition failed to reproduce the matrix ({recon:.3g})")
     lam1 = float(w[0])
-    tol_psd = TOL_PSD * max(1.0, lam1)
-    if float(w[-1]) < -tol_psd:
-        raise ValueError(
-            f"matrix is not positive semidefinite (min eigenvalue {float(w[-1]):.3g})"
-        )
-    w[w < 0.0] = 0.0
     rank = int(np.count_nonzero(w > TOL_RANK * lam1)) if lam1 > 0.0 else 0
-    recon = float(np.max(np.abs((Q * w) @ Q.T - C.entries)))
-    if recon > TOL_RECON * max(1.0, lam1):
-        raise ValueError(f"eigendecomposition failed to reproduce the matrix ({recon:.3g})")
     return Instance(C=C, eigvals=_freeze(w), eigvecs=_freeze(Q), rank=rank, d=_freeze(d))

@@ -28,15 +28,18 @@ an iterate is centred (lam < 1/4) the weight t grows by a fixed factor,
 but never past the t at which the gap there is below the target.  So a
 tol at or below the floor gives exactly the result of tol = floor, and
 such a solve is never converged, since a gap that small is rounding.
-Before t grows, every centred iterate after the first predicts the face of
-the optimum from its ratio to the previous one (a Tapia indicator: a
-coordinate headed for a bound shrinks its distance to it about as fast as
-t grows, an interior one keeps its value), fixes those coordinates at
-their bounds, and takes equality-constrained Newton steps on f alone
-over the rest, or over the whole polytope when nothing is fixed, until
-Newton's decrement says the face's optimum is reached.  A point of that
-face which meets the target ends the solve, so coordinates that
-belong at 0 or 1 come out exactly there, and an interior optimum is
+Before t grows, every centred iterate, the first against the uniform
+start, predicts the face of the optimum from its ratio to the previous
+one (a Tapia indicator: a coordinate headed for a bound shrinks its
+distance to it about as fast as t grows, an interior one keeps its
+value), fixes those coordinates at their bounds, and takes
+equality-constrained Newton steps on f alone over the rest, or over the
+whole polytope when nothing is fixed, fixing each coordinate that a step
+carries to a bound, until Newton's decrement says the face's optimum is
+reached.  If that optimum misses the target, the fixed coordinates whose
+gradient says they belong inside are freed once and the steps go on.  A
+point of the face which meets the target ends the solve, so coordinates
+that belong at 0 or 1 come out exactly there, and an interior optimum is
 reached without driving t to 1/tol.  Convergence is certified
 independently of the method by the standard linearization gap max_v
 grad(x) . (v - x) over the vertices v of P(n, s), which upper-bounds the
@@ -90,7 +93,6 @@ _CENTRED = 0.25      # Newton decrement below which an iterate counts as centred
 _BOX_FRACTION = 0.7  # share of the longest step inside the box that a long step takes
 _T_GROWTH = 8.0      # barrier weight factor per centred iterate
 _RATIO = 0.4         # drop in distance to a bound between centred iterates that fixes x_i
-_TIE = 1e-9          # relative slack within which coordinates meet a bound in one ratio test
 _PSI_RUNAWAY = 60.0  # distance from its start at which a carried psi has run away
 _EPS = float(np.finfo(float).eps)  # unit of the rounding floor 8 n _EPS max(1, |f0|)
 
@@ -383,42 +385,48 @@ def _reproject(x, s: int):
 
 
 def _face_newton(evaluate, x, prev, point, psi, s: int, tol: float):
-    """Newton on f over the face of P(n, s) that x approaches.
+    """Active-set Newton on f over the face of P(n, s) that x approaches.
 
     The face comes from Tapia indicators, the ratios of x to the previous
-    centred iterate prev: along the central path a coordinate headed for
-    0 shrinks about _T_GROWTH-fold per growth of t, while an interior one
-    keeps its value.  So x_i is fixed at 0 when x_i < 1/2 and x_i <
-    _RATIO * prev_i, and at 1 likewise in 1 - x.  The rest are re-projected
-    onto e.y = s and take equality-constrained Newton steps of -2 f, which
-    is self-concordant, jointly with psi when it is carried.  Newton
-    converges fast only where the decrement dec = max(lam, mu) is below
-    _CENTRED, so the try ends at the first step whose decrement is not;
-    outside that region the barrier does better.  Inside it, a full step
-    taken from dec^2 <= tol lands within about dec^2 of the face's
-    optimum, so a point reached so that misses the targets shows the face
-    is wrong, and the try ends there too.  tol is the engine's one target
-    max(tol_fw, floor), never below the rounding floor of f, under which
-    rounding can hold dec up.  With
-    nothing fixed the face is the whole polytope, and y starts at x, whose
-    evaluated point is reused.  Each step is the full one, or, by a ratio
-    test, the part of it that ends where the first free coordinate meets
-    its bound, and every coordinate that meets one there is fixed.
+    centred iterate prev, or to the uniform start, the central path at
+    t = 0: along the path a coordinate headed for 0 shrinks about
+    _T_GROWTH-fold per growth of t, while an interior one keeps its value.
+    So x_i is fixed at 0 when x_i < 1/2 and x_i < _RATIO * prev_i, and at 1
+    likewise in 1 - x.  The rest are re-projected onto e.y = s and take
+    equality-constrained Newton steps of -2 f, which is self-concordant,
+    jointly with psi when it is carried.  A step whose decrement dec =
+    max(lam, mu) is _CENTRED or more is damped to 1 / (1 + dec) of itself
+    on a proper face; over the whole polytope (nothing fixed) it is taken
+    whole.  Every free coordinate that a step carries to or past a bound is
+    fixed there, and the rest are re-projected.  With nothing fixed y starts
+    at x, whose evaluated point is reused.
+
+    A full step taken from dec^2 <= tol lands within about dec^2 of the
+    face's optimum, so a point reached so that misses the targets shows the
+    face is wrong.  Then, once per try, the fixed coordinates whose gradient
+    breaks the sign of the face's multiplier nu = mean of g over the free
+    ones (g_i > nu at 0, or g_i < nu at 1) are freed and the steps go on
+    from that point; with none to free, or after one release, the try ends.
+    tol is the engine's one target max(tol_fw, floor), never below the
+    rounding floor of f, under which rounding can hold dec up.  With psi
+    carried the slope target alone is loose enough to pass at a point that
+    is not yet the saddle point, so a point that meets the targets ends the
+    try only when the step to it started from dec^2 <= tol, or at a vertex.
 
     The projected point (none when nothing is fixed) and each step cost
     one evaluate(y, psi) call, and evaluate's budget is the only bound on
-    their number.  Returns (y, psi, point) for the first point that meets
-    the targets, and None when the face has no interior, F(y) is not
-    positive definite or evaluate gives up, the free block is singular, a
-    step is not centred, or a point reached from dec^2 <= tol misses the
-    targets.
+    their number.  Returns (y, psi, point) for the first point that ends
+    the try, and None when the face has no interior, F(y) is not positive
+    definite or evaluate gives up, the free block is singular, the
+    re-projection leaves the box, or a face's optimum misses the targets
+    with nothing left to release.
     """
     low = (x < 0.5) & (x < _RATIO * prev)
     high = (x > 0.5) & (1.0 - x < _RATIO * (1.0 - prev))
     free = ~(low | high)
     stale = not free.all()  # whether y still needs evaluating
     y = np.where(high, 1.0, np.where(low, 0.0, x))
-    dec = math.inf  # no step taken yet
+    dec, released = math.inf, False  # no step taken yet
     while True:
         k, m = int(free.sum()), s - int(y[~free].sum())
         if not (0 < m < k or m == k == 0):
@@ -431,10 +439,20 @@ def _face_newton(evaluate, x, prev, point, psi, s: int, tol: float):
             point = evaluate(y, psi)
             if not np.isfinite(point[0]):
                 return None
-            if _met(point, y, s, tol):
+            settled = dec * dec <= tol  # y is within about dec^2 of the face's optimum
+            if _met(point, y, s, tol) and (psi is None or settled or k == 0):
                 return y, psi, point
-            if k == 0 or dec * dec <= tol:
-                return None  # a vertex, or y is within about dec^2 of the face's optimum
+            if k == 0:
+                return None  # a vertex that misses the targets
+            if settled:
+                # a wrong face: free, once, the coordinates fixed against nu's sign
+                g = point[1]
+                nu = float(g[free].mean())
+                wrong = ~free & np.where(y == 0.0, g > nu, g < nu)
+                if released or not wrong.any():
+                    return None
+                free |= wrong
+                released = True
         _, g, hess, *mixed = point
         border = None
         if mixed:
@@ -444,22 +462,14 @@ def _face_newton(evaluate, x, prev, point, psi, s: int, tol: float):
             dy, dpsi, dec = _kkt_step(-2.0 * g[free], -2.0 * hess[free][:, free], border)
         except np.linalg.LinAlgError:
             return None
-        if dec >= _CENTRED:
-            return None
-        # ratio test: the full step, or the step to where the first free
-        # coordinate meets its bound; every coordinate that meets one is fixed
-        yf = y[free]
-        with np.errstate(divide="ignore"):
-            reach = np.where(dy < 0.0, yf, 1.0 - yf) / np.abs(dy)
-        alpha = min(1.0, float(reach.min()))
-        hit = reach <= alpha * (1.0 + _TIE)
-        dy *= alpha
-        yf += dy
-        yf[hit] = dy[hit] > 0.0
-        y[free] = yf
+        if dec >= _CENTRED and not free.all():
+            dy, dpsi = dy / (1.0 + dec), dpsi / (1.0 + dec)
+        yf = y[free] + dy  # projected: what reaches a bound is fixed there
+        hit = (yf <= 0.0) | (yf >= 1.0)
+        y[free] = np.clip(yf, 0.0, 1.0)
         free[free] = ~hit
         if psi is not None:
-            psi += alpha * dpsi
+            psi += dpsi
         stale = True
 
 
@@ -506,16 +516,17 @@ def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
     The solve has one stopping target, target = max(tol, floor), with tol
     the gap target of opts and floor = 8 n eps max(1, |f0|), f0 the value
     at the uniform start, the rounding floor of f.  Each centred iterate
-    but the first tries _face_newton, given the target, on the face that
-    its ratio to the previous centred iterate predicts, and returns that
-    face's point when it meets the target; otherwise t grows and the
-    barrier goes on from x.  Stops when the linearization gap meets the
+    tries _face_newton, given the target, on the face that its ratio to
+    the previous centred iterate predicts, the first iterate's to the
+    uniform start, which is the analytic centre of P(n, s) and so the
+    central path at t = 0; it returns the point that ends the try, and
+    otherwise t grows and the barrier goes on from x.  Stops when the linearization gap meets the
     target, when the damped step has no point (max_iter derivatives calls
     are spent, f is undefined there, or rounding pushes it out of the open
     box), or when a centred iterate misses the target and growing t would
     take it past the cap 8 n / target, so t never exceeds it.  t starts at
-    _T_GROWTH: a centring at t = 1 would only give the first face try its
-    reference point.  The gap at a centred iterate is below n / (2 t) up
+    _T_GROWTH: the uniform start is already the first face try's reference
+    point, so a centring at t = 1 would add nothing.  The gap at a centred iterate is below n / (2 t) up
     to rounding, and once t |f| eps is about 1 the rounding of psi_t
     swamps the Newton decrement, so no iterate would centre again and the
     solve would run to max_iter; a target below the floor would also keep
@@ -551,7 +562,8 @@ def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
         calls += 1
         return problem.derivatives(y, psi)
 
-    x, psi0, prev = np.full(n, s / n), psi, None
+    x = prev = np.full(n, s / n)  # the analytic centre of P(n, s): the central path at t = 0
+    psi0 = psi
     point = evaluate(x, psi)
     if not np.isfinite(point[0]):
         raise ArithmeticError("objective is undefined at the uniform start point")
@@ -562,11 +574,10 @@ def _maximize_capped_simplex(problem, opts: SolverOptions, psi=None):
     while not _met(point, x, s, target):
         dx, dpsi, dec = step or _newton_step(x, point, t)
         if dec < _CENTRED:
-            if prev is not None:
-                face = _face_newton(evaluate, x, prev, point, psi, s, target)
-                if face is not None:
-                    x, psi, point = face
-                    break
+            face = _face_newton(evaluate, x, prev, point, psi, s, target)
+            if face is not None:
+                x, psi, point = face
+                break
             if t * _T_GROWTH > 8.0 * n / target:
                 # the cap on t: the gap is below n / (2 t) < target here, and
                 # past it a target at the floor would leave psi_t to rounding

@@ -18,6 +18,9 @@ from linxbound import (
     validate,
 )
 
+from linxbound import linx
+from linxbound.instance import Instance, _freeze, _masked
+
 from helpers import correlation_matrix, gram_matrix
 
 
@@ -149,6 +152,43 @@ class TestValidate:
             assert np.max(np.abs(recon - inst.C.entries)) < 1e-10 * max(
                 1.0, inst.eigvals[0]
             )
+
+    def test_diagonal_spectrum_is_exact(self):
+        # a diagonal C o M, such as the identity mask gives, is its own
+        # eigendecomposition: the sorted diagonal and unit vectors, with
+        # ties in index order, and no eigh round-off
+        rng = np.random.default_rng(31)
+        for k in range(12):
+            n = int(rng.integers(2, 12))
+            entries = gram_matrix(rng, n)
+            if k % 3 == 0:
+                entries[0, 0] = entries[1, 1] = max(entries[0, 0], entries[1, 1])
+            inst = validate(SymMatrix.from_array(entries), 1)
+            eff = _masked(inst, Mask.identity(n))
+            d = np.diagonal(entries)
+            order = np.argsort(-d, kind="stable")
+            np.testing.assert_array_equal(eff.eigvals, d[order])
+            np.testing.assert_array_equal(eff.eigvecs, np.eye(n)[:, order])
+            np.testing.assert_array_equal((eff.eigvecs * eff.eigvals) @ eff.eigvecs.T, np.diag(d))
+            assert eff.rank == n
+
+    def test_identity_masked_results_do_not_read_the_spectrum(self):
+        # the identity-masked bound and search are the closed form, so they
+        # equal those of the same C o M with an eigh spectrum, bit for bit
+        rng = np.random.default_rng(32)
+        for _ in range(8):
+            n = int(rng.integers(3, 12))
+            s = int(rng.integers(1, n))
+            inst = validate(SymMatrix.from_array(gram_matrix(rng, n)), s)
+            mask = Mask.identity(n)
+            eff = _masked(inst, mask)
+            w, q = np.linalg.eigh(eff.C.entries)
+            old = Instance(C=eff.C, eigvals=_freeze(w[::-1]), eigvecs=_freeze(q[:, ::-1]),
+                           rank=eff.rank, d=eff.d)
+            for gamma in (0.5, 1.0, 3.0):
+                new, ref = solve_linx(inst, s, mask, gamma), linx._solve(old, s, gamma, "I", linx.DEFAULT_OPTIONS)
+                assert (new.value, new.duality_gap, new.iterations) == (ref.value, ref.duality_gap, 0)
+                np.testing.assert_array_equal(new.x_hat, ref.x_hat)
 
     def test_rank_of_structured_matrices(self):
         for n in (2, 5, 9):

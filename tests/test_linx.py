@@ -436,7 +436,7 @@ class TestLineSearch:
                                                  (True, 3, 1e-16)])
     def test_target_below_rounding_stops_early(self, search, seed, tol):
         # these targets lie below the rounding floor, so the engine stops at
-        # the floor, after 4, 9 and 11 evaluations; a solve that chases a
+        # the floor, after 4, 12 and 10 evaluations; a solve that chases a
         # target under it spends tens of evaluations on rounding
         inst = _instance(2000.0 * gram_matrix(np.random.default_rng(seed), 19), 9)
         opts = SolverOptions(tol_fw=tol)
@@ -447,7 +447,7 @@ class TestLineSearch:
 
     @pytest.mark.parametrize("seed,tol", [(1, 1e-16), (1, 1e-17), (1, 1e-18), (47, 1e-17)])
     def test_t_stops_below_the_cap(self, seed, tol):
-        # sub-floor targets, met at the floor in 11, 11, 11 and 13
+        # sub-floor targets, met at the floor in 9, 9, 9 and 12
         # evaluations; past the cap on t, rounding would keep the decrement
         # above 1/4 and these searches (n = 12, s = 6 and n = 7, s = 5)
         # would spend all 5,000
@@ -480,7 +480,7 @@ class TestLineSearch:
     def test_every_target_below_the_floor_gives_one_result(self, case):
         # the engine stops at max(tol_fw, floor), so all these sub-floor
         # targets give the result of tol_fw = floor, never converged; the
-        # searches take 11 or 12 evaluations, the solves 4 and 9
+        # searches take 11 or 13 evaluations, the solves 4 and 12
         if case.startswith("ill"):
             entries, s = ill_conditioned(int(case[3:]))
         else:
@@ -508,7 +508,7 @@ class TestLineSearch:
         # SLOPE_TOL < 0 makes the target unreachable, for a fixed-gamma
         # solve too, and keeps converged False, which a patched _met would
         # not, so only the cap on t ends the barrier; t never passes
-        # 8 n / max(tol, floor), and the solves take 55 to 65 evaluations
+        # 8 n / max(tol, floor), and the solves take 60 to 74 evaluations
         newton_step, gap_tol = linx._newton_step, linx._gap_tol
         ts, caps = [], []
         rng = np.random.default_rng(seed)
@@ -614,10 +614,10 @@ class TestFaceFinish:
         assert np.mean(iterations) <= 30
 
     def test_tied_pairs_land_together(self):
-        # tied diagonal entries give tied coordinates, which the face
-        # finish's ratio test sends to a bound in the same step; fixing one
-        # of a pair and leaving the other free at 0 divided by zero in
-        # _reproject
+        # tied diagonal entries give tied coordinates, which a face step
+        # carries to a bound together, and the projection fixes both; a
+        # ratio test that fixed one of a pair and left the other free at 0
+        # divided by zero in _reproject
         rng = np.random.default_rng(0)
         for _ in range(300):
             n = int(rng.integers(4, 26))
@@ -640,8 +640,8 @@ class TestFaceFinish:
 
     @pytest.mark.parametrize("seed, gamma", [(0, 2.0), (164, 0.5), (136, 1.0)])
     def test_a_try_may_cut_twice(self, seed, gamma):
-        # a face try of each solve meets a bound in more than one step, and
-        # every step may stop at one
+        # steps of these tries carry coordinates to a bound, two steps of
+        # one try at seeds 0 and 164, and each fixes them there
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 13))
         s = int(rng.integers(1, n))
@@ -652,16 +652,44 @@ class TestFaceFinish:
     @pytest.mark.parametrize("seed, n, calls", [(8, 8, 48), (29, 12, 55)])
     def test_a_wrong_face_ends_at_its_optimum(self, seed, n, calls):
         # tries on wrong faces reach the face's optimum in two or three
-        # steps; a fixed budget of four steps took 53 and 61 calls here
+        # steps; a fixed budget of four steps took 53 and 61 calls here, and
+        # the solves take 8 and 10 now that a try repairs a wrong face
         s = n // 2
         res = solve_linx(_instance(gram_matrix(np.random.default_rng(seed), n), s), s)
         assert res.converged
         assert res.iterations <= calls
 
+    @pytest.mark.parametrize("seed, n, s", [(12, 40, 13), (37, 40, 13), (32, 32, 10)])
+    def test_a_wrong_face_is_repaired(self, seed, n, s):
+        # tries that land on a wrong face release its misfixed coordinates
+        # and finish; dropping such a try and growing t took 39, 37 and 32
+        # evaluations here
+        res = solve_linx(_instance(gram_matrix(np.random.default_rng(seed), n), s), s)
+        assert res.converged
+        assert res.iterations <= 15
+
+    def test_a_wrongly_fixed_coordinate_is_released(self):
+        # x is the optimum, but its ratio to prev fixes the interior x_1 at
+        # 0; the face's optimum misses the target, x_1's gradient is above
+        # the face's multiplier, and the try frees it and finishes
+        n, s = 8, 4
+        inst = _instance(gram_matrix(np.random.default_rng(1), n), s)
+        x = np.array(solve_linx(inst, s).x_hat)
+        assert 0.0 < x[1] < 0.5 and np.all(x[[3, 4]] == 1.0)
+        prev = np.where(x == 1.0, 0.5, x)
+        prev[1] = 1.0
+        problem = linx_problem(inst, Mask.ones(n), 1.0, s)
+        face = linx._face_newton(lambda y, psi: problem.derivatives(y), x, prev,
+                                 problem.derivatives(x), None, s, 1e-8)
+        assert face is not None
+        y, _, point = face
+        assert y[1] > 0.0
+        assert linx._fw_gap(point[1], y, s) <= 1e-8
+
     def test_a_try_ends_at_the_rounding_floor(self, monkeypatch):
         # with a tol_fw below the floor, rounding would hold dec^2 above it,
         # so a try is given the engine's target max(tol_fw, floor) and ends
-        # once dec^2 is below the floor; the one try here takes 5
+        # once dec^2 is below the floor; the one try here takes 7
         # evaluations, and testing dec^2 against tol_fw alone took 17
         face_newton, longest = linx._face_newton, [0]
 

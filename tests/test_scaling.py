@@ -12,6 +12,7 @@ from linxbound import (
     RegimeTag,
     SolverOptions,
     SymMatrix,
+    build_scaledgap_instance,
     certify_gamma_optimal,
     classify_regime,
     exact_mesp,
@@ -294,6 +295,15 @@ class TestOptimizeGamma:
         assert search.converged
         assert search.gamma_hat == pytest.approx(optimal_gamma_2x2(3.0, 3.0, 2.0), rel=1e-9)
         assert search.bound_value == pytest.approx(math.log(3.0), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [128, 512])
+    def test_scaled_gap_searches_take_few_steps(self, n):
+        # the face finish takes the whole polytope's Newton step whole; damping
+        # it as on a proper face took 12 and 13 evaluations here
+        s = n // 2
+        search = optimize_gamma(validate(build_scaledgap_instance(n), s), s)
+        assert search.converged
+        assert search.best.iterations <= 7
 
     def test_symmetric_families_bound_the_optimum(self):
         # I + aJ and (1 + a)I - (a/n)J, whose symmetry can make an x-step
